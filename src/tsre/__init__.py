@@ -40,7 +40,6 @@ from .harness import (
     run_scenario,
     save_phenotype,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .simulate import (
     EffectSet,
     PhenotypePair,
@@ -126,6 +125,5 @@ __all__ = [
     "estimate_real",
     "save_phenotype",
     "load_phenotype",
-    "KERNEL_BACKEND",
     "__version__",
 ]

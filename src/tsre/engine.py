@@ -83,6 +83,8 @@ def _check_inputs(a: Grm, x, y, min_n: int):
             f"phenotype length mismatch: GRM has n={a.n}, exposure has "
             f"{x.shape[0]}, outcome has {y.shape[0]}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("exposure and outcome must be finite (found NaN or inf)")
     if a.n < min_n:
         raise DataError(f"need at least {min_n} individuals, got {a.n}")
     return x, y
@@ -91,11 +93,11 @@ def _check_inputs(a: Grm, x, y, min_n: int):
 def pair_moments(a: Grm, x, y) -> PairMoments:
     """Accumulate the pair sums for a GRM and a phenotype pair.
 
-    Phenotypes are used as given (no centering here).  The GRM sums stream
-    over the packed strict lower triangle; the pure phenotype sums come from
-    the identities sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its
-    relatives, so the cost is one pass over the triangle plus O(n) vector
-    work.
+    Phenotypes are used as given (no centering here).  The GRM sums are
+    reductions over the whole packed triangle minus their diagonal terms;
+    the pure phenotype sums come from the identities
+    sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, so the
+    cost is a few passes over the triangle plus O(n) vector work.
     """
     x, y = _check_inputs(a, x, y, min_n=2)
     s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)

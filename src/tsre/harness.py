@@ -10,6 +10,7 @@ subset, so reruns and thread counts never change the emitted CSVs.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -123,16 +124,13 @@ class ReplicateResult:
     rep_index: np.ndarray
 
     def csv_row(self, target: str) -> str:
+        stats = (self.mean, self.sd_mc, self.mean_se, self.bias, self.mse)
         cells = [
             target,
             self.row_id,
             self.method,
             self.selection,
-            repr(self.mean),
-            repr(self.sd_mc),
-            repr(self.mean_se),
-            repr(self.bias),
-            repr(self.mse),
+            *(repr(float(v)) for v in stats),
             str(self.reps),
             str(self.reps_failed),
         ]
@@ -188,7 +186,11 @@ def _columns_for(summaries: list[VariantSummary], std: StandardizedGenotypes):
 
 
 def _run_method(tag, selection, std, grm_cache, summaries, x, y, rng_for):
-    """Run one (method, selection) pair on a simulated replicate."""
+    """Run one (method, selection) pair; returns (theta_hat, se, m_used).
+
+    grm_cache["all"] holds the all-variant GRM, or None until it is first
+    built; rng_for(tag) supplies the bootstrap stream of the median methods.
+    """
     selected = apply_selection(summaries, selection)
     if tag == "tsre":
         if selection == "all":
@@ -204,12 +206,10 @@ def _run_method(tag, selection, std, grm_cache, summaries, x, y, rng_for):
             )
             grm = compute_grm(sub)
         fit = tsre_estimate(grm, x, y)
-        return fit.theta_hat, fit.se
+        return fit.theta_hat, fit.se, fit.m
     if tag == "tsls":
-        cols = _columns_for(selected, std)
-        est = tsls(std.values[:, cols], x, y)
-        return est.theta_hat, est.se
-    if tag == "ivw":
+        est = tsls(std.values[:, _columns_for(selected, std)], x, y)
+    elif tag == "ivw":
         est = ivw(selected, mode="random")
     elif tag == "ivw_fe":
         est = ivw(selected, mode="fixed")
@@ -221,14 +221,14 @@ def _run_method(tag, selection, std, grm_cache, summaries, x, y, rng_for):
         est = weighted_median(selected, rng=rng_for(tag))
     else:
         raise ConfigError(f"unknown method {tag!r}")
-    return est.theta_hat, est.se
+    return est.theta_hat, est.se, est.n_iv
 
 
 def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
     Returns a list aligned with the (method, selection) jobs; entries are
-    (theta_hat, se) or None for a failed estimator.
+    (theta_hat, se, m_used) or None for a failed estimator.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
@@ -583,7 +583,8 @@ def reproduce_table(
                     for i in range(res.estimates.size):
                         fh.write(
                             f"{target},{res.row_id},{res.method},{res.selection},"
-                            f"{res.rep_index[i]},{res.estimates[i]!r},{res.ses[i]!r}\n"
+                            f"{res.rep_index[i]},{float(res.estimates[i])!r},"
+                            f"{float(res.ses[i])!r}\n"
                         )
         written.append(long_path)
     return written
@@ -605,7 +606,8 @@ class RealDataResult:
     def csv(self) -> str:
         return (
             "method,theta_hat,se,n,m_used\n"
-            f"{self.method},{self.theta_hat!r},{self.se!r},{self.n},{self.m_used}\n"
+            f"{self.method},{float(self.theta_hat)!r},{float(self.se)!r},"
+            f"{self.n},{self.m_used}\n"
         )
 
 
@@ -620,7 +622,7 @@ def save_phenotype(path, ids, values) -> None:
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
-    """Read an `id,value` CSV; duplicate ids and bad floats are errors."""
+    """Read an `id,value` CSV; duplicate ids, bad floats, NaN and inf are errors."""
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
@@ -644,6 +646,8 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
                 raise DataError(
                     f"{path}: line {lineno}: cannot parse value {text!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: value {text!r} is not finite")
             ids.append(ident)
             values.append(value)
     if not ids:
@@ -737,35 +741,14 @@ def estimate_real(
         raise EstimationError(f"only {gm.n} individuals remain after filtering")
 
     summaries = per_variant_regression(std, x, y)
-    selected = apply_selection(summaries, selection)
-
-    if method == "tsre":
-        if selection != "all":
-            cols = _columns_for(selected, std)
-            std = StandardizedGenotypes(
-                values=np.ascontiguousarray(std.values[:, cols]),
-                variant_ids=[std.variant_ids[c] for c in cols],
-                dropped_variants=list(std.dropped_variants),
-            )
-            grm = None  # a full-variant GRM does not apply to the subset
-        if grm is None:
-            grm = compute_grm(std)
-        fit = tsre_estimate(grm, x, y)
-        return RealDataResult("tsre", fit.theta_hat, fit.se, fit.n, fit.m)
-    if method == "tsls":
-        cols = _columns_for(selected, std)
-        est = tsls(std.values[:, cols], x, y)
-        return RealDataResult("tsls", est.theta_hat, est.se, gm.n, est.n_iv)
-
-    rng = np.random.default_rng(0)
-    if method == "ivw":
-        est = ivw(selected, mode="random")
-    elif method == "ivw_fe":
-        est = ivw(selected, mode="fixed")
-    elif method == "egger":
-        est = egger(selected)
-    elif method == "sm":
-        est = simple_median(selected, rng=rng)
-    else:
-        est = weighted_median(selected, rng=rng)
-    return RealDataResult(method, est.theta_hat, est.se, gm.n, est.n_iv)
+    theta, se, m_used = _run_method(
+        method,
+        selection,
+        std,
+        {"all": grm},
+        summaries,
+        x,
+        y,
+        lambda _: np.random.default_rng(0),
+    )
+    return RealDataResult(method, theta, se, gm.n, m_used)

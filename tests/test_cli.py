@@ -148,6 +148,16 @@ class TestEstimateCommand:
         argv[argv.index("--exposure") + 1] = str(flat)
         assert main(argv) == 4
 
+    def test_nan_exposure_exits_three(self, dataset, tmp_path, capsys):
+        lines = (dataset / "exposure.csv").read_text().splitlines()
+        ident = lines[1].split(",")[0]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join([lines[0], f"{ident},nan", *lines[2:]]) + "\n")
+        argv = self._argv(dataset, "tsre")
+        argv[argv.index("--exposure") + 1] = str(bad)
+        assert main(argv) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_unknown_method_exits_two(self, dataset):
         with pytest.raises(SystemExit) as err:
             main(self._argv(dataset, "bogus"))

@@ -120,6 +120,15 @@ class TestPairMoments:
         with pytest.raises(DataError, match="length mismatch"):
             pair_moments(_grm_from_dense(a), x[:-1], y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phenotype_rejected(self, bad):
+        a, x, y = _random_problem(2, n=5)
+        x[3] = bad
+        with pytest.raises(DataError, match="finite"):
+            pair_moments(_grm_from_dense(a), x, y)
+        with pytest.raises(DataError, match="finite"):
+            tsre_estimate(_grm_from_dense(a), y, x)
+
     def test_single_individual_rejected(self):
         a = np.array([[1.0]])
         with pytest.raises(DataError):

@@ -230,6 +230,9 @@ class TestReproduceTable:
         assert len(long_lines) == 1 + 6
         rep_cells = [line.split(",") for line in long_lines[1:]]
         assert {c[4] for c in rep_cells} == {"0", "1", "2"}
+        # every estimate and se cell is a plain float literal
+        for cells in rep_cells:
+            assert np.isfinite([float(cells[5]), float(cells[6])]).all()
 
     def test_byte_identical_across_threads(self, tmp_path):
         a = reproduce_table("custom", tmp_path / "a", reps=4, seed=9, config=_tiny_cfg())
@@ -264,6 +267,13 @@ class TestPhenotypeIO:
         path = tmp_path / "p.csv"
         path.write_text("id,value\na,1.0\nb,oops\n")
         with pytest.raises(DataError, match="line 3"):
+            load_phenotype(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,value\na,1.0\nb,{bad}\n")
+        with pytest.raises(DataError, match="line 3.*not finite"):
             load_phenotype(path)
 
     def test_length_mismatch_on_save(self, tmp_path):

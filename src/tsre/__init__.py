@@ -13,7 +13,6 @@ from .engine import (
     moment_diagnostic,
     pair_moments,
     tsre_estimate,
-    tsre_stderr,
 )
 from .errors import ConfigError, DataError, EstimationError, TsreError
 from .estimators import Estimate, egger, ivw, simple_median, tsls, weighted_median
@@ -109,7 +108,6 @@ __all__ = [
     "TsreFit",
     "pair_moments",
     "tsre_estimate",
-    "tsre_stderr",
     "moment_diagnostic",
     "MomentParams",
     "moments_from_config",

@@ -5,7 +5,7 @@ relationship matrix binary), estimate (file-based estimation), replicate
 (Monte-Carlo table targets), and theory (closed-form bias/variance report).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data contract
-error, 4 numerical/estimation failure.
+error or unreadable input file, 4 numerical/estimation failure.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grm", help="compute the relationship matrix binary")
     p.add_argument("--genotypes", required=True, help="dosage CSV")
     p.add_argument("--out", required=True, help="output GRM binary path")
-    p.add_argument("--threads", type=int, default=1, help="row-panel threads")
 
     p = sub.add_parser("estimate", help="estimate the causal effect from files")
     p.add_argument("--method", required=True, choices=METHOD_TAGS)
@@ -128,7 +127,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_grm(args) -> int:
     gm = load_genotypes(args.genotypes)
     std = standardize(gm)
-    grm = compute_grm(std, threads=args.threads)
+    grm = compute_grm(std)
     save_grm(grm, args.out)
     print(f"{args.out}: n={grm.n}, variants_used={grm.m_effective}")
     return 0
@@ -205,10 +204,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EstimationError as exc:

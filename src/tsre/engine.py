@@ -24,7 +24,6 @@ __all__ = [
     "TsreFit",
     "pair_moments",
     "tsre_estimate",
-    "tsre_stderr",
     "moment_diagnostic",
 ]
 
@@ -197,22 +196,6 @@ def _plugin_variance(pm, den, theta, xc, yc, m) -> tuple[float, float]:
     var_r = float(np.var(resid, ddof=1))
     tau2 = var_x * var_r / (m * cov_axx**2)
     return tau2, math.sqrt(tau2 / pm.n_pairs)
-
-
-def tsre_stderr(fit: TsreFit, a: Grm, x, y) -> float:
-    """Recompute the plug-in standard error of a fit from the data.
-
-    Returns the same value tsre_estimate stored in fit.se; exposed so the
-    plug-in can be audited against an independently obtained point estimate.
-    """
-    x, y = _check_inputs(a, x, y, min_n=3)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    pm = pair_moments(a, xc, yc)
-    _, den, scale, spread = _slopes(pm, fit.mode)
-    _guard_denominator(den, scale, spread, MIN_SIGNAL)
-    _, se = _plugin_variance(pm, den, fit.theta_hat, xc, yc, a.m_effective)
-    return se
 
 
 def moment_diagnostic(

@@ -68,9 +68,6 @@ METHOD_TAGS = ("sm", "wm", "ivw", "ivw_fe", "egger", "tsre", "tsls")
 # order or subset of requested methods.
 _METHOD_SLOTS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
-# Methods that consume randomness (bootstrap standard errors).
-_NEEDS_RNG = {"sm", "wm"}
-
 _OMITTED_NOTE = "# omitted methods: divw, raps, lasso (not implemented)"
 
 
@@ -88,20 +85,16 @@ class ReplicationSpec:
     seed: int = 0
     methods: tuple[str, ...] = DEFAULT_METHODS
     selection: str | None = None
-    overrides: dict | None = None
+
+    def jobs(self) -> list[tuple[str, str]]:
+        return [(tag, self.selection or default_selection(tag)) for tag in self.methods]
 
     def validate(self) -> None:
         if self.reps < 1:
             raise ConfigError("reps must be at least 1")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        for tag in self.methods:
-            if tag not in METHOD_TAGS:
-                raise ConfigError(
-                    f"unknown method {tag!r}; choose from {', '.join(METHOD_TAGS)}"
-                )
-        if self.selection is not None:
-            parse_selection(self.selection)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        _check_jobs(self.jobs())
 
 
 @dataclass
@@ -163,65 +156,80 @@ def parse_selection(text: str) -> tuple[str, int | float | None]:
     )
 
 
+def _check_jobs(jobs: list[tuple[str, str]]) -> None:
+    """Reject an empty job list, unknown method tags and malformed selections."""
+    if not jobs:
+        raise ConfigError("at least one method is required")
+    for tag, selection in jobs:
+        if tag not in METHOD_TAGS:
+            raise ConfigError(
+                f"unknown method {tag!r}; choose from {', '.join(METHOD_TAGS)}"
+            )
+        parse_selection(selection)
+
+
+def _select(summaries: list[VariantSummary], selection: str) -> list[int] | None:
+    """Indices picked by a selection, or None for 'all'.
+
+    Summaries come in standardized column order, so the indices are also
+    the genotype columns of the picked variants.
+    """
+    kind, value = parse_selection(selection)
+    if kind == "all":
+        return None
+    if kind == "top":
+        return select_top_k(summaries, int(value))
+    return select_by_pvalue(summaries, float(value))
+
+
 def apply_selection(
     summaries: list[VariantSummary], selection: str
 ) -> list[VariantSummary]:
-    kind, value = parse_selection(selection)
-    if kind == "all":
-        return summaries
-    if kind == "top":
-        picked = select_top_k(summaries, int(value))
-    else:
-        picked = select_by_pvalue(summaries, float(value))
-    return [summaries[i] for i in picked]
+    cols = _select(summaries, selection)
+    return summaries if cols is None else [summaries[i] for i in cols]
 
 
 def default_selection(tag: str) -> str:
     return "all" if tag == "tsre" else "top:20"
 
 
-def _columns_for(summaries: list[VariantSummary], std: StandardizedGenotypes):
-    index = {vid: i for i, vid in enumerate(std.variant_ids)}
-    return np.array([index[s.variant_id] for s in summaries], dtype=np.intp)
+# Summary-statistic methods: tag -> estimator over the selected summaries;
+# rng_for(tag) supplies the bootstrap stream of the median methods.
+_SUMMARY_METHODS = {
+    "ivw": lambda selected, rng_for: ivw(selected, mode="random"),
+    "ivw_fe": lambda selected, rng_for: ivw(selected, mode="fixed"),
+    "egger": lambda selected, rng_for: egger(selected),
+    "sm": lambda selected, rng_for: simple_median(selected, rng=rng_for("sm")),
+    "wm": lambda selected, rng_for: weighted_median(selected, rng=rng_for("wm")),
+}
 
 
-def _run_method(tag, selection, std, grm_cache, summaries, x, y, rng_for):
-    """Run one (method, selection) pair; returns (theta_hat, se, m_used).
+def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None):
+    """Run one checked (method, selection) pair; returns (theta_hat, se, m_used).
 
-    grm_cache["all"] holds the all-variant GRM, or None until it is first
-    built; rng_for(tag) supplies the bootstrap stream of the median methods.
+    grm, when given, is the all-variant GRM of std; tsre on 'all' uses it
+    instead of building its own.
     """
-    selected = apply_selection(summaries, selection)
-    if tag == "tsre":
-        if selection == "all":
-            if grm_cache.get("all") is None:
-                grm_cache["all"] = compute_grm(std)
-            grm = grm_cache["all"]
-        else:
-            cols = _columns_for(selected, std)
-            sub = StandardizedGenotypes(
+    if tag in _SUMMARY_METHODS:
+        est = _SUMMARY_METHODS[tag](apply_selection(summaries, selection), rng_for)
+        return est.theta_hat, est.se, est.n_iv
+    cols = _select(summaries, selection)
+    if tag == "tsls":
+        # A column copy even for 'all': the copy is Fortran-ordered, and 2SLS on
+        # the C-ordered std.values differs in the last bits.
+        est = tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
+        return est.theta_hat, est.se, est.n_iv
+    if cols is not None:
+        grm = compute_grm(
+            StandardizedGenotypes(
                 values=np.ascontiguousarray(std.values[:, cols]),
                 variant_ids=[std.variant_ids[c] for c in cols],
-                dropped_variants=[],
             )
-            grm = compute_grm(sub)
-        fit = tsre_estimate(grm, x, y)
-        return fit.theta_hat, fit.se, fit.m
-    if tag == "tsls":
-        est = tsls(std.values[:, _columns_for(selected, std)], x, y)
-    elif tag == "ivw":
-        est = ivw(selected, mode="random")
-    elif tag == "ivw_fe":
-        est = ivw(selected, mode="fixed")
-    elif tag == "egger":
-        est = egger(selected)
-    elif tag == "sm":
-        est = simple_median(selected, rng=rng_for(tag))
-    elif tag == "wm":
-        est = weighted_median(selected, rng=rng_for(tag))
-    else:
-        raise ConfigError(f"unknown method {tag!r}")
-    return est.theta_hat, est.se, est.n_iv
+        )
+    elif grm is None:
+        grm = compute_grm(std)
+    fit = tsre_estimate(grm, x, y)
+    return fit.theta_hat, fit.se, fit.m
 
 
 def _replicate_outcomes(args):
@@ -244,13 +252,10 @@ def _replicate_outcomes(args):
         key = (row_key, rep, 1000 + _METHOD_SLOTS[tag])
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-    grm_cache: dict[str, Grm | None] = {"all": None}
     out = []
     for tag, selection in jobs:
         try:
-            out.append(
-                _run_method(tag, selection, std, grm_cache, summaries, pheno.x, pheno.y, rng_for)
-            )
+            out.append(_run_method(tag, selection, std, summaries, pheno.x, pheno.y, rng_for))
         except TsreError:
             out.append(None)
     return out
@@ -298,7 +303,7 @@ def run_scenario(
 ) -> list[ReplicateResult]:
     """Run one scenario row for all requested (method, selection) pairs.
 
-    jobs overrides the spec's methods/selection resolution when a target
+    jobs replaces the spec's methods/selection resolution when a target
     needs the same method under several selections.  Per-replicate seeds
     depend only on (spec.seed, row_key, replicate index), so any thread
     count and any method subset reproduce identical numbers.
@@ -308,13 +313,9 @@ def run_scenario(
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     if jobs is None:
-        jobs = [
-            (tag, spec.selection or default_selection(tag)) for tag in spec.methods
-        ]
-    for tag, selection in jobs:
-        if tag not in METHOD_TAGS:
-            raise ConfigError(f"unknown method {tag!r}")
-        parse_selection(selection)
+        jobs = spec.jobs()
+    else:
+        _check_jobs(jobs)
     args = [(cfg, jobs, spec.seed, row_key, rep) for rep in range(spec.reps)]
     if threads == 1:
         per_rep = [_replicate_outcomes(a) for a in args]
@@ -686,7 +687,7 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     return GenotypeMatrix(
         dosages=np.ascontiguousarray(gm.dosages[rows]),
         variant_ids=list(gm.variant_ids),
-        maf=None if gm.maf is None else gm.maf,
+        maf=gm.maf,
         individual_ids=list(ids),
     )
 
@@ -707,12 +708,8 @@ def estimate_real(
     filtering step and for the pair regression (it must match the aligned
     sample).  Genotypes are re-standardized after any filtering.
     """
-    if method not in METHOD_TAGS:
-        raise ConfigError(
-            f"unknown method {method!r}; choose from {', '.join(METHOD_TAGS)}"
-        )
     selection = selection or default_selection(method)
-    parse_selection(selection)
+    _check_jobs([(method, selection)])
 
     gm = load_genotypes(genotypes)
     rows, ids, x, y = _align(gm, load_phenotype(exposure), load_phenotype(outcome))
@@ -742,13 +739,6 @@ def estimate_real(
 
     summaries = per_variant_regression(std, x, y)
     theta, se, m_used = _run_method(
-        method,
-        selection,
-        std,
-        {"all": grm},
-        summaries,
-        x,
-        y,
-        lambda _: np.random.default_rng(0),
+        method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0), grm
     )
     return RealDataResult(method, theta, se, gm.n, m_used)

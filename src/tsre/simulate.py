@@ -93,6 +93,8 @@ class ScenarioConfig:
             raise ConfigError("allele frequencies must satisfy 0 < maf_low <= maf_high < 1")
         if not set(self.strong_groups) <= {"b", "c"}:
             raise ConfigError("strong_groups may only contain the letters 'b' and 'c'")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def replace(self, **updates) -> "ScenarioConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -26,9 +26,9 @@ def dense_to_packed(a: np.ndarray) -> np.ndarray:
 def random_standardized(rng, n, m):
     """A standardized genotype panel with no degenerate columns."""
     raw = rng.integers(0, 3, size=(n, m)).astype(np.float64)
-    # force variation in every column so standardize keeps all of them
-    raw[0, :] = 0.0
-    raw[1, :] = 2.0
+    # move one entry of each constant column so standardize keeps all of them
+    const = np.ptp(raw, axis=0) == 0
+    raw[0, const] = (raw[0, const] + 1) % 3
     gm = GenotypeMatrix(
         dosages=raw,
         variant_ids=[f"v{k}" for k in range(m)],

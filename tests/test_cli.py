@@ -68,6 +68,13 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "seed.cfg"
+        bad.write_text(SCENARIO.replace("seed = 21", "seed = -3"))
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestGrmCommand:
     def test_builds_loadable_binary(self, dataset, tmp_path, capsys):
@@ -78,13 +85,6 @@ class TestGrmCommand:
         grm = load_grm(out)
         assert grm.n == 120
         np.testing.assert_allclose(grm.diagonal().mean(), 1.0, rtol=1e-12)
-
-    def test_thread_flag_keeps_bytes(self, dataset, tmp_path):
-        a, b = tmp_path / "a.grm", tmp_path / "b.grm"
-        geno = str(dataset / "genotypes.csv")
-        assert main(["grm", "--genotypes", geno, "--out", str(a), "--threads", "1"]) == 0
-        assert main(["grm", "--genotypes", geno, "--out", str(b), "--threads", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestEstimateCommand:
@@ -164,6 +164,25 @@ class TestEstimateCommand:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("case", ["genotypes_dir", "config_dir", "non_utf8_phenotype"])
+def test_unreadable_input_exits_three(dataset, tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if case == "config_dir":
+        argv = ["theory", "--config", str(folder)]
+    else:
+        exposure = dataset / "exposure.csv"
+        if case == "non_utf8_phenotype":
+            exposure = tmp_path / "exposure.csv"
+            exposure.write_bytes(b"\xff\xfeid,value\n")
+        geno = folder if case == "genotypes_dir" else dataset / "genotypes.csv"
+        argv = ["estimate", "--method", "ivw", "--genotypes", str(geno),
+                "--exposure", str(exposure), "--outcome", str(dataset / "outcome.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestReplicateCommand:
     def test_custom_round_trip(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "rep"
@@ -188,6 +207,11 @@ class TestReplicateCommand:
         lines = (out / "custom_results.csv").read_text().splitlines()
         assert lines[0].startswith("target,row_id,")
         assert len(lines) == 6  # header + five default methods
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        rc = main(["replicate", "--target", "table2", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_custom_requires_config(self, tmp_path, capsys):
         rc = main(["replicate", "--target", "custom", "--out", str(tmp_path / "x")])

@@ -14,7 +14,6 @@ from tsre.engine import (
     moment_diagnostic,
     pair_moments,
     tsre_estimate,
-    tsre_stderr,
 )
 from tsre.errors import DataError, EstimationError
 from tsre.genotype import Grm, compute_grm
@@ -185,12 +184,6 @@ class TestTsreEstimate:
         base = tsre_estimate(grm, x, y)
         scaled = tsre_estimate(grm, 2.0 * x, y)
         np.testing.assert_allclose(scaled.theta_hat, base.theta_hat / 2.0, rtol=1e-10)
-
-    def test_se_matches_recomputation(self):
-        a, x, y = _random_problem(14)
-        grm = _grm_from_dense(a, m_effective=4)
-        fit = tsre_estimate(grm, x, y)
-        assert tsre_stderr(fit, grm, x, y) == pytest.approx(fit.se, rel=1e-12)
 
     def test_plugin_variance_formula(self):
         a, x, y = _random_problem(15)

@@ -351,14 +351,19 @@ class TestEstimateReal:
         with pytest.raises(DataError, match="stranger"):
             estimate_real(gpath, bad, ypath)
 
-    def test_precomputed_grm_matches_recomputation(self, real_data, tmp_path):
+    @pytest.mark.parametrize("selection", [None, "top:5"])
+    def test_precomputed_grm_matches_recomputation(self, real_data, tmp_path, selection):
+        # a subset selection builds its own GRM and ignores the file
         gpath, xpath, ypath, *_ = real_data
         std = standardize(load_genotypes(gpath))
         grm_path = tmp_path / "a.grm"
         save_grm(compute_grm(std), grm_path)
-        with_file = estimate_real(gpath, xpath, ypath, method="tsre", grm_path=grm_path)
-        without = estimate_real(gpath, xpath, ypath, method="tsre")
+        with_file = estimate_real(
+            gpath, xpath, ypath, method="tsre", selection=selection, grm_path=grm_path
+        )
+        without = estimate_real(gpath, xpath, ypath, method="tsre", selection=selection)
         assert with_file.theta_hat == without.theta_hat
+        assert with_file.se == without.se
 
     def test_grm_size_mismatch_rejected(self, real_data, tmp_path):
         gpath, xpath, ypath, gm, pheno = real_data

@@ -143,8 +143,8 @@ def _slopes(pm: PairMoments, mode: str) -> tuple[float, float, float, float]:
     return num, den, scale, spread
 
 
-def _guard_denominator(den: float, scale: float, spread: float, min_signal: float):
-    limit = min_signal * math.sqrt(max(scale, 0.0) * max(spread, 0.0))
+def _guard_denominator(den: float, scale: float, spread: float):
+    limit = MIN_SIGNAL * math.sqrt(max(scale, 0.0) * max(spread, 0.0))
     if abs(den) <= limit or den == 0.0:
         raise EstimationError(
             "weak genetic signal: exposure-pair regression denominator "
@@ -152,23 +152,20 @@ def _guard_denominator(den: float, scale: float, spread: float, min_signal: floa
         )
 
 
-def tsre_estimate(
-    a: Grm, x, y, centering: str = "covariance", min_signal: float = MIN_SIGNAL
-) -> TsreFit:
+def tsre_estimate(a: Grm, x, y, centering: str = "covariance") -> TsreFit:
     """Fit the slope-ratio estimator on a GRM and phenotype pair.
 
     Both traits are mean-centered internally.  In "covariance" mode (the
     default) theta_hat is the ratio of the pair covariances of A with the
     cross and exposure products; "raw" mode uses uncentered pair sums, the
-    normal-equation form.  min_signal is the correlation-scale threshold of
-    the weak-denominator guard.
+    normal-equation form.
     """
     x, y = _check_inputs(a, x, y, min_n=3)
     xc = x - x.mean()
     yc = y - y.mean()
     pm = pair_moments(a, xc, yc)
     num, den, scale, spread = _slopes(pm, centering)
-    _guard_denominator(den, scale, spread, min_signal)
+    _guard_denominator(den, scale, spread)
     if scale <= 0:
         raise EstimationError("degenerate GRM: pair entries have no spread")
     theta = num / den

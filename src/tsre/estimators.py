@@ -175,41 +175,28 @@ def _ratio_inputs(summaries: list[VariantSummary]):
     return gx[keep], se_x[keep], gy[keep], se_y[keep]
 
 
-def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(ratios)
-    r = ratios[order]
-    w = weights[order]
-    total = w.sum()
-    if total <= 0:
-        raise EstimationError("degenerate weights: total weighted-median weight is zero")
-    p = (np.cumsum(w) - 0.5 * w) / total
-    return float(np.interp(0.5, p, r))
+def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Interpolated weighted median of each row of ratios, one weight per column.
 
-
-def _weighted_median_rows(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Vectorised copy of _weighted_median over the rows of a bootstrap matrix.
+    Bit for bit np.interp(0.5, p, r) on every row, with r the sorted row and
+    p its centered cumulative weights (cum - w/2) / total.
+    """
     order = np.argsort(ratios, axis=1)
     r = np.take_along_axis(ratios, order, axis=1)
-    w = np.take_along_axis(np.broadcast_to(weights, ratios.shape), order, axis=1)
-    cum = np.cumsum(w, axis=1)
-    p = (cum - 0.5 * w) / cum[:, -1:]
-    below = (p < 0.5).sum(axis=1)
-    b, k = ratios.shape
-    out = np.empty(b)
-    lo = below == 0
-    hi = below == k
-    mid = ~(lo | hi)
-    out[lo] = r[lo, 0]
-    out[hi] = r[hi, -1]
-    rows = np.flatnonzero(mid)
-    if rows.size:
-        right = below[rows]
-        left = right - 1
-        pl = p[rows, left]
-        pr = p[rows, right]
-        t = np.where(pr > pl, (0.5 - pl) / np.where(pr > pl, pr - pl, 1.0), 0.0)
-        out[rows] = r[rows, left] + t * (r[rows, right] - r[rows, left])
-    return out
+    w = weights[order]
+    total = w.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
+        raise EstimationError("degenerate weights: total weighted-median weight is zero")
+    p = (np.cumsum(w, axis=1) - 0.5 * w) / total
+    rows = np.arange(r.shape[0])
+    left = np.maximum((p <= 0.5).sum(axis=1) - 1, 0)
+    right = np.minimum(left + 1, r.shape[1] - 1)
+    pl, pr = p[rows, left], p[rows, right]
+    rl, rr = r[rows, left], r[rows, right]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (rr - rl) / (pr - pl) * (0.5 - pl) + rl
+    out = np.where(0.5 < p[:, 0], r[:, 0], out)
+    return np.where(0.5 >= p[:, -1], r[:, -1], out)
 
 
 def _bootstrap_se(point_fn, gx, se_x, gy, se_y, n_boot, rng) -> float:
@@ -255,8 +242,8 @@ def weighted_median(
     if np.any(se_y <= 0):
         raise EstimationError("degenerate weights: an outcome standard error is zero")
     weights = gx * gx / (se_y * se_y)
-    theta = _weighted_median(gy / gx, weights)
+    theta = float(_weighted_median((gy / gx)[None, :], weights)[0])
     se = _bootstrap_se(
-        lambda r: _weighted_median_rows(r, weights), gx, se_x, gy, se_y, n_boot, rng
+        lambda r: _weighted_median(r, weights), gx, se_x, gy, se_y, n_boot, rng
     )
     return Estimate(method="weighted_median", theta_hat=theta, se=se, n_iv=gx.size)

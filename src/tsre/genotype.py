@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, open_text
 
 __all__ = [
     "GenotypeMatrix",
@@ -233,7 +233,7 @@ def save_genotypes(gm: GenotypeMatrix, path) -> None:
 
 def load_genotypes(path) -> GenotypeMatrix:
     """Read a dosage CSV; every cell must be one of 0, 1, 2."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

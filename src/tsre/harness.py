@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import tsre_estimate
-from .errors import ConfigError, DataError, EstimationError, TsreError
+from .errors import ConfigError, DataError, EstimationError, TsreError, open_text
 from .estimators import egger, ivw, simple_median, tsls, weighted_median
 from .genotype import (
     GenotypeMatrix,
@@ -73,28 +73,17 @@ _OMITTED_NOTE = "# omitted methods: divw, raps, lasso (not implemented)"
 
 @dataclass
 class ReplicationSpec:
-    """What to run: replicate count, base seed, methods, and selection.
-
-    selection None applies the per-method convention (tsre uses all
-    variants, everything else the top 20 by p-value); an explicit selection
-    string applies to every method.
-    """
+    """How often to run a row: replicate count and base seed."""
 
     target: str = "custom"
     reps: int = 100
     seed: int = 0
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    selection: str | None = None
-
-    def jobs(self) -> list[tuple[str, str]]:
-        return [(tag, self.selection or default_selection(tag)) for tag in self.methods]
 
     def validate(self) -> None:
         if self.reps < 1:
             raise ConfigError("reps must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        _check_jobs(self.jobs())
 
 
 @dataclass
@@ -111,7 +100,6 @@ class ReplicateResult:
     mse: float
     reps: int
     reps_failed: int
-    config: ScenarioConfig
     estimates: np.ndarray
     ses: np.ndarray
     rep_index: np.ndarray
@@ -286,7 +274,6 @@ def _aggregate(row_id, cfg, tag, selection, outcomes, reps) -> ReplicateResult:
         mse=mse,
         reps=reps,
         reps_failed=failed,
-        config=cfg,
         estimates=est,
         ses=ses,
         rep_index=rep_index,
@@ -298,24 +285,21 @@ def run_scenario(
     spec: ReplicationSpec,
     row_key: int = 0,
     row_id: str = "custom",
-    jobs: list[tuple[str, str]] | None = None,
+    *,
+    jobs: list[tuple[str, str]],
     threads: int = 1,
 ) -> list[ReplicateResult]:
     """Run one scenario row for all requested (method, selection) pairs.
 
-    jobs replaces the spec's methods/selection resolution when a target
-    needs the same method under several selections.  Per-replicate seeds
-    depend only on (spec.seed, row_key, replicate index), so any thread
-    count and any method subset reproduce identical numbers.
+    Per-replicate seeds depend only on (spec.seed, row_key, replicate
+    index), so any thread count and any method subset reproduce identical
+    numbers.
     """
     cfg.validate()
     spec.validate()
     if threads < 1:
         raise ConfigError("threads must be at least 1")
-    if jobs is None:
-        jobs = spec.jobs()
-    else:
-        _check_jobs(jobs)
+    _check_jobs(jobs)
     args = [(cfg, jobs, spec.seed, row_key, rep) for rep in range(spec.reps)]
     if threads == 1:
         per_rep = [_replicate_outcomes(a) for a in args]
@@ -351,12 +335,12 @@ def _scenario(**kw) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def _both_selections(methods=DEFAULT_METHODS):
-    return [(tag, "all") for tag in methods] + [(tag, "top:20") for tag in methods]
+def _both_selections():
+    return [(tag, sel) for sel in ("all", "top:20") for tag in DEFAULT_METHODS]
 
 
-def _default_jobs(methods=DEFAULT_METHODS):
-    return [(tag, default_selection(tag)) for tag in methods]
+def _default_jobs():
+    return [(tag, default_selection(tag)) for tag in DEFAULT_METHODS]
 
 
 def _rows_table2():
@@ -513,7 +497,7 @@ def builtin_rows(target: str, config: ScenarioConfig | None = None):
     if target == "custom":
         if config is None:
             raise ConfigError("the custom target requires a scenario config")
-        return [("custom", config, None)]
+        return [("custom", config, _default_jobs())]
     if target not in TARGETS:
         raise ConfigError(
             f"unknown target {target!r}; choose from "
@@ -627,7 +611,7 @@ def load_phenotype(path) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if header != "id,value":
             raise DataError(f"{path}: expected header 'id,value', got {header!r}")

@@ -17,12 +17,13 @@ effects from N(mu_strong, sigma_strong^2) instead of the weak distribution.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, open_text
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -97,9 +98,7 @@ class ScenarioConfig:
             raise ConfigError("seed must be non-negative")
 
     def replace(self, **updates) -> "ScenarioConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(updates)
-        cfg = ScenarioConfig(**values)
+        cfg = dataclasses.replace(self, **updates)
         cfg.validate()
         return cfg
 
@@ -251,8 +250,12 @@ def heritability(cfg: ScenarioConfig) -> float:
     return genetic / total
 
 
-_INT_FIELDS = {"n", "m_a", "m_b", "m_c", "m_d", "seed"}
-_STR_FIELDS = {"strong_groups"}
+# Value parser per scenario key, from the field annotations (strings under
+# `from __future__ import annotations`).
+_PARSERS = {
+    f.name: {"int": int, "float": float, "str": str}[f.type]
+    for f in fields(ScenarioConfig)
+}
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
@@ -267,9 +270,8 @@ def load_scenario(path) -> ScenarioConfig:
     Blank lines and lines starting with '#' are ignored; unknown keys are an
     error rather than a silent no-op.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
     values: dict[str, object] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -279,15 +281,10 @@ def load_scenario(path) -> ScenarioConfig:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in known:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}: line {lineno}: unknown key '{key}'")
             try:
-                if key in _STR_FIELDS:
-                    values[key] = text
-                elif key in _INT_FIELDS:
-                    values[key] = int(text)
-                else:
-                    values[key] = float(text)
+                values[key] = _PARSERS[key](text)
             except ValueError:
                 raise ConfigError(
                     f"{path}: line {lineno}: cannot parse value {text!r} for '{key}'"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, open_text
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -124,7 +124,7 @@ def save_summaries(summaries: list[VariantSummary], path) -> None:
 
 
 def load_summaries(path) -> list[VariantSummary]:
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

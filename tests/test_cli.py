@@ -164,23 +164,34 @@ class TestEstimateCommand:
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["genotypes_dir", "config_dir", "non_utf8_phenotype"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "genotypes_dir",
+        "config_dir",
+        "non_utf8_phenotype",
+        "non_utf8_config",
+        "non_utf8_genotypes",
+    ],
+)
 def test_unreadable_input_exits_three(dataset, tmp_path, capsys, case):
-    folder = tmp_path / "folder"
-    folder.mkdir()
-    if case == "config_dir":
-        argv = ["theory", "--config", str(folder)]
+    bad = tmp_path / "folder"
+    if case.endswith("_dir"):
+        bad.mkdir()
     else:
-        exposure = dataset / "exposure.csv"
-        if case == "non_utf8_phenotype":
-            exposure = tmp_path / "exposure.csv"
-            exposure.write_bytes(b"\xff\xfeid,value\n")
-        geno = folder if case == "genotypes_dir" else dataset / "genotypes.csv"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfeid,value\n")
+    if "config" in case:
+        argv = ["theory", "--config", str(bad)]
+    else:
+        exposure = bad if case == "non_utf8_phenotype" else dataset / "exposure.csv"
+        geno = bad if "genotypes" in case else dataset / "genotypes.csv"
         argv = ["estimate", "--method", "ivw", "--genotypes", str(geno),
                 "--exposure", str(exposure), "--outcome", str(dataset / "outcome.csv")]
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(bad) in err[0]
 
 
 class TestReplicateCommand:

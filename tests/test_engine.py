@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsre import engine
 from tsre.engine import (
-    MIN_SIGNAL,
     PairMoments,
     moment_diagnostic,
     pair_moments,
@@ -209,12 +209,13 @@ class TestTsreEstimate:
         with pytest.raises(EstimationError):
             tsre_estimate(_grm_from_dense(a), rng.normal(size=6), rng.normal(size=6))
 
-    def test_min_signal_threshold_is_respected(self):
+    def test_min_signal_threshold_is_respected(self, monkeypatch):
         a, x, y = _random_problem(17)
         grm = _grm_from_dense(a)
-        tsre_estimate(grm, x, y, min_signal=MIN_SIGNAL)
+        tsre_estimate(grm, x, y)
+        monkeypatch.setattr(engine, "MIN_SIGNAL", 1e6)
         with pytest.raises(EstimationError):
-            tsre_estimate(grm, x, y, min_signal=1e6)
+            tsre_estimate(grm, x, y)
 
     def test_needs_three_individuals(self):
         a = np.array([[1.0, 0.2], [0.2, 1.0]])

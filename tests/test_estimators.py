@@ -6,7 +6,6 @@ import pytest
 from tsre.errors import DataError, EstimationError
 from tsre.estimators import (
     _weighted_median,
-    _weighted_median_rows,
     egger,
     ivw,
     simple_median,
@@ -200,53 +199,66 @@ class TestEgger:
             egger(_summ([0.5, 0.5, -0.5], [0.2, 0.1, 0.3]))
 
 
+def _wm_oracle(r, w):
+    # scan the sorted ratios for the interpolated 50% crossing
+    order = np.argsort(r)
+    rs, ws = r[order], w[order]
+    p = (np.cumsum(ws) - 0.5 * ws) / ws.sum()
+    if 0.5 <= p[0]:
+        return rs[0]
+    if 0.5 >= p[-1]:
+        return rs[-1]
+    j = np.searchsorted(p, 0.5, side="right")
+    t = (0.5 - p[j - 1]) / (p[j] - p[j - 1])
+    return rs[j - 1] + t * (rs[j] - rs[j - 1])
+
+
+def _wm(r, w):
+    # one ratio vector as a one-row matrix, the way weighted_median calls it
+    r = np.asarray(r, dtype=float)
+    return _weighted_median(r[None, :], np.asarray(w, dtype=float))[0]
+
+
 class TestWeightedMedianCore:
     def test_equal_weights_match_plain_median_odd(self, rng):
         r = rng.normal(size=9)
         w = np.ones(9)
-        assert abs(_weighted_median(r, w) - np.median(r)) < 1e-12
+        assert abs(_wm(r, w) - np.median(r)) < 1e-12
 
     def test_equal_weights_match_plain_median_even(self, rng):
         r = rng.normal(size=10)
         w = np.ones(10)
-        assert abs(_weighted_median(r, w) - np.median(r)) < 1e-12
+        assert abs(_wm(r, w) - np.median(r)) < 1e-12
 
     def test_dominant_weight_pulls_the_estimate(self):
         # interpolation keeps the estimate just below the heavy point
         r = np.array([1.0, 2.0, 50.0])
         w = np.array([0.01, 0.01, 10.0])
-        got = _weighted_median(r, w)
+        got = _wm(r, w)
         assert 49.0 < got <= 50.0
 
     def test_brute_force_percentile_oracle(self, rng):
-        # oracle: scan the sorted ratios for the interpolated 50% crossing
         for trial in range(25):
             k = int(rng.integers(2, 12))
             r = rng.normal(size=k)
             w = rng.uniform(0.1, 2.0, size=k)
-            order = np.argsort(r)
-            rs, ws = r[order], w[order]
-            p = (np.cumsum(ws) - 0.5 * ws) / ws.sum()
-            if 0.5 <= p[0]:
-                want = rs[0]
-            elif 0.5 >= p[-1]:
-                want = rs[-1]
-            else:
-                j = np.searchsorted(p, 0.5, side="right")
-                t = (0.5 - p[j - 1]) / (p[j] - p[j - 1])
-                want = rs[j - 1] + t * (rs[j] - rs[j - 1])
-            assert abs(_weighted_median(r, w) - want) < 1e-12
+            assert abs(_wm(r, w) - _wm_oracle(r, w)) < 1e-12
+
+    def test_exact_hit_and_single_ratio(self):
+        # p = [0.125, 0.5, 0.875]: 0.5 is a knot, so no interpolation error
+        assert _wm([1.0, 2.0, 3.0], [1.0, 2.0, 1.0]) == 2.0
+        assert _wm([0.7], [3.0]) == 0.7
 
     def test_vectorised_rows_match_scalar(self, rng):
         ratios = rng.normal(size=(40, 7))
         weights = rng.uniform(0.1, 2.0, size=7)
-        rows = _weighted_median_rows(ratios, weights)
+        rows = _weighted_median(ratios, weights)
         for b in range(40):
-            assert abs(rows[b] - _weighted_median(ratios[b], weights)) < 1e-12
+            assert abs(rows[b] - _wm_oracle(ratios[b], weights)) < 1e-12
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(EstimationError):
-            _weighted_median(np.array([1.0]), np.array([0.0]))
+            _wm([1.0], [0.0])
 
 
 class TestMedianEstimators:

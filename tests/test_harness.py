@@ -31,6 +31,8 @@ from tsre.harness import (
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
 from tsre.sumstats import VariantSummary, per_variant_regression
 
+DEFAULT_JOBS = [(tag, default_selection(tag)) for tag in DEFAULT_METHODS]
+
 
 def _tiny_cfg(**kw):
     base = dict(
@@ -80,23 +82,17 @@ class TestSelectionSpecs:
 
 
 class TestReplicationSpec:
-    def test_validates_methods_and_selection(self):
-        ReplicationSpec(methods=("tsre",), selection="top:5").validate()
+    def test_validates_reps(self):
+        ReplicationSpec(reps=1).validate()
         with pytest.raises(ConfigError):
             ReplicationSpec(reps=0).validate()
-        with pytest.raises(ConfigError):
-            ReplicationSpec(methods=()).validate()
-        with pytest.raises(ConfigError):
-            ReplicationSpec(methods=("nope",)).validate()
-        with pytest.raises(ConfigError):
-            ReplicationSpec(selection="frac:0.1").validate()
 
 
 class TestRunScenario:
     def test_aggregates_match_numpy_oracle(self):
         cfg = _tiny_cfg()
-        spec = ReplicationSpec(reps=5, seed=11, methods=("tsre", "ivw"))
-        results = run_scenario(cfg, spec)
+        spec = ReplicationSpec(reps=5, seed=11)
+        results = run_scenario(cfg, spec, jobs=[("tsre", "all"), ("ivw", "top:20")])
         for res in results:
             assert res.reps == 5
             assert res.reps_failed == 0
@@ -111,33 +107,27 @@ class TestRunScenario:
     def test_thread_count_does_not_change_results(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=6, seed=3)
-        serial = run_scenario(cfg, spec, threads=1)
-        threaded = run_scenario(cfg, spec, threads=2)
+        serial = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=1)
+        threaded = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=2)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.ses, b.ses)
 
     def test_method_subset_does_not_change_numbers(self):
         cfg = _tiny_cfg()
-        all_res = run_scenario(cfg, ReplicationSpec(reps=4, seed=7))
-        only_wm = run_scenario(cfg, ReplicationSpec(reps=4, seed=7, methods=("wm",)))
+        spec = ReplicationSpec(reps=4, seed=7)
+        all_res = run_scenario(cfg, spec, jobs=DEFAULT_JOBS)
+        only_wm = run_scenario(cfg, spec, jobs=[("wm", "top:20")])
         wm_full = next(r for r in all_res if r.method == "wm")
         assert np.array_equal(only_wm[0].estimates, wm_full.estimates)
         assert np.array_equal(only_wm[0].ses, wm_full.ses)
-
-    def test_explicit_selection_applies_to_all_methods(self):
-        cfg = _tiny_cfg()
-        res = run_scenario(
-            cfg, ReplicationSpec(reps=2, seed=1, methods=("ivw", "tsre"), selection="top:5")
-        )
-        assert all(r.selection == "top:5" for r in res)
 
     def test_failed_replicates_are_counted(self):
         # egger on two instruments always fails (needs three)
         cfg = _tiny_cfg()
         res = run_scenario(
             cfg,
-            ReplicationSpec(reps=3, seed=2, methods=("egger",)),
+            ReplicationSpec(reps=3, seed=2),
             jobs=[("egger", "top:2")],
         )[0]
         assert res.reps_failed == 3
@@ -152,7 +142,7 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             run_scenario(cfg, spec, jobs=[("tsre", "frac:1")])
         with pytest.raises(ConfigError):
-            run_scenario(cfg, spec, threads=0)
+            run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=0)
 
 
 class TestBuiltinTargets:
@@ -186,6 +176,7 @@ class TestBuiltinTargets:
             builtin_rows("custom")
         rows = builtin_rows("custom", _tiny_cfg())
         assert rows[0][0] == "custom"
+        assert rows[0][2] == DEFAULT_JOBS
 
     def test_unknown_target(self):
         with pytest.raises(ConfigError):

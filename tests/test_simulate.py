@@ -1,5 +1,7 @@
 """Scenario configuration, effect sampling, and phenotype generation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,10 @@ class TestScenarioIO:
         cfg = _cfg(p_strong=0.2, mu_strong=0.2, sigma_strong=0.05, strong_groups="c")
         path = tmp_path / "scenario.cfg"
         save_scenario(cfg, path)
-        assert load_scenario(path) == cfg
+        loaded = load_scenario(path)
+        assert loaded == cfg
+        for f in fields(ScenarioConfig):
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "s.cfg"

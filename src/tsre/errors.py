@@ -4,9 +4,12 @@ Three failure families map onto distinct CLI exit codes: configuration
 problems (bad options, bad scenario files), data problems (unparseable or
 misaligned input files, shape mismatches), and numerical problems (degenerate
 or insufficient data reaching an estimator).  open_text turns an undecodable
-input file into a data problem.
+input file into a data problem; read_csv and finite_float hold the rules
+every CSV input follows.
 """
 
+import csv
+import math
 from contextlib import contextmanager
 
 __all__ = ["TsreError", "ConfigError", "DataError", "EstimationError"]
@@ -39,3 +42,48 @@ def open_text(path, **kw):
             yield fh
         except UnicodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def read_csv(path):
+    """Stream a CSV input: the header, then (line number, fields) per non-blank row.
+
+    An empty file, a file without data rows, a row the csv module cannot
+    parse, a row not as wide as the header, and a first field that an earlier
+    row used are each a DataError naming the file and, for a row, the line.
+    """
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            yield header
+            seen: set[str] = set()
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}"
+                    )
+                if row[0] in seen:
+                    raise DataError(f"{path}: line {lineno}: duplicate id {row[0]!r}")
+                seen.add(row[0])
+                yield lineno, row
+            if not seen:
+                raise DataError(f"{path}: no data rows")
+        except csv.Error as exc:  # e.g. a field over the module's size limit
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def finite_float(text, path, lineno) -> float:
+    """Parse one numeric field; unparseable and non-finite values are a
+    DataError naming the file and the line."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: cannot parse value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: line {lineno}: value {text!r} is not finite")
+    return value

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError, open_text
+from .errors import ConfigError, DataError, EstimationError, read_csv
 
 __all__ = [
     "GenotypeMatrix",
@@ -34,6 +34,7 @@ __all__ = [
 
 _GRM_MAGIC = b"GRM1"
 _PANEL_ROWS = 256
+_DOSAGES = frozenset("012")
 
 
 @dataclass
@@ -138,15 +139,17 @@ def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:
     Monomorphic columns carry no information and would divide by zero, so
     they are dropped and their original indices recorded.
     """
-    d = gm.dosages.astype(np.float64)
-    mean = d.mean(axis=0)
-    centered = d - mean
-    sd = np.sqrt(np.mean(centered * centered, axis=0))
+    values = gm.dosages.astype(np.float64)
+    values -= values.mean(axis=0)
+    sd = np.sqrt(np.mean(values * values, axis=0))
     keep = sd > 0.0
     dropped = np.flatnonzero(~keep)
     if not keep.any():
         raise DataError("all variants are monomorphic; nothing to standardize")
-    values = np.ascontiguousarray(centered[:, keep] / sd[keep])
+    if dropped.size:
+        # a boolean column selection comes back Fortran-ordered
+        values = np.ascontiguousarray(values[:, keep])
+    values /= sd[keep]
     kept_ids = [v for v, k in zip(gm.variant_ids, keep) if k]
     return StandardizedGenotypes(
         values=values, variant_ids=kept_ids, dropped_variants=dropped.tolist()
@@ -188,8 +191,8 @@ def filter_related(grm: Grm, cutoff: float) -> np.ndarray:
     pairs is removed (ties go to the lower index).  Returns the retained
     indices in ascending order.
     """
-    if cutoff <= 0:
-        raise ConfigError("relatedness cutoff must be positive")
+    if not 0.0 < cutoff < np.inf:
+        raise ConfigError("relatedness cutoff must be positive and finite")
     n = grm.n
     tri = grm.lower_triangle
     neighbors: list[set[int]] = [set() for _ in range(n)]
@@ -233,38 +236,25 @@ def save_genotypes(gm: GenotypeMatrix, path) -> None:
 
 def load_genotypes(path) -> GenotypeMatrix:
     """Read a dosage CSV; every cell must be one of 0, 1, 2."""
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty genotype file") from None
-        if not header or header[0] != "id":
-            raise DataError(f"{path}: genotype header must start with 'id'")
-        variant_ids = header[1:]
-        if not variant_ids:
-            raise DataError(f"{path}: genotype file has no variant columns")
-        rows = []
-        ids = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(variant_ids) + 1:
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {len(variant_ids) + 1}"
-                )
-            ids.append(row[0])
-            parsed = np.empty(len(variant_ids), dtype=np.int8)
-            for c, cell in enumerate(row[1:]):
-                if cell not in ("0", "1", "2"):
-                    raise DataError(
-                        f"{path}: line {lineno}, variant '{variant_ids[c]}': "
-                        f"dosage must be 0, 1, or 2 (got {cell!r})"
-                    )
-                parsed[c] = int(cell)
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: genotype file has no data rows")
+    rows = read_csv(path)
+    header = next(rows)
+    if header[:1] != ["id"] or len(header) < 2:
+        raise DataError(f"{path}: genotype header must be 'id' and at least one variant id")
+    variant_ids = header[1:]
+    ids = []
+    digits = bytearray()
+    for lineno, (ident, *cells) in rows:
+        if not _DOSAGES.issuperset(cells):
+            c, cell = next((c, v) for c, v in enumerate(cells) if v not in _DOSAGES)
+            raise DataError(
+                f"{path}: line {lineno}, variant '{variant_ids[c]}': "
+                f"dosage must be 0, 1, or 2 (got {cell!r})"
+            )
+        ids.append(ident)
+        digits += "".join(cells).encode()
+    dosages = np.frombuffer(digits, dtype=np.int8).reshape(len(ids), len(variant_ids))
     return GenotypeMatrix(
-        dosages=np.vstack(rows), variant_ids=variant_ids, individual_ids=ids
+        dosages=dosages - np.int8(ord("0")), variant_ids=variant_ids, individual_ids=ids
     )
 
 

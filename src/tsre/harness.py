@@ -10,7 +10,6 @@ subset, so reruns and thread counts never change the emitted CSVs.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import tsre_estimate
-from .errors import ConfigError, DataError, EstimationError, TsreError, open_text
+from .errors import ConfigError, DataError, EstimationError, TsreError, finite_float, read_csv
 from .estimators import egger, ivw, simple_median, tsls, weighted_median
 from .genotype import (
     GenotypeMatrix,
@@ -280,6 +279,12 @@ def _aggregate(row_id, cfg, tag, selection, outcomes, reps) -> ReplicateResult:
     )
 
 
+def _check_run(spec: ReplicationSpec, threads: int) -> None:
+    spec.validate()
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     spec: ReplicationSpec,
@@ -296,9 +301,7 @@ def run_scenario(
     numbers.
     """
     cfg.validate()
-    spec.validate()
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
+    _check_run(spec, threads)
     _check_jobs(jobs)
     args = [(cfg, jobs, spec.seed, row_key, rep) for rep in range(spec.reps)]
     if threads == 1:
@@ -530,9 +533,9 @@ def reproduce_table(
     the list of written paths.
     """
     rows = builtin_rows(target, config)
-    os.makedirs(out_dir, exist_ok=True)
     spec = ReplicationSpec(target=target, reps=reps, seed=seed)
-    spec.validate()
+    _check_run(spec, threads)
+    os.makedirs(out_dir, exist_ok=True)
 
     results_path = os.path.join(out_dir, f"{target}_results.csv")
     scen_path = os.path.join(out_dir, f"{target}_scenarios.csv")
@@ -608,35 +611,15 @@ def save_phenotype(path, ids, values) -> None:
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
     """Read an `id,value` CSV; duplicate ids, bad floats, NaN and inf are errors."""
+    rows = read_csv(path)
+    header = next(rows)
+    if header != ["id", "value"]:
+        raise DataError(f"{path}: expected header 'id,value', got {','.join(header)!r}")
     ids: list[str] = []
     values: list[float] = []
-    seen: set[str] = set()
-    with open_text(path) as fh:
-        header = fh.readline().strip()
-        if header != "id,value":
-            raise DataError(f"{path}: expected header 'id,value', got {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            ident, sep, text = line.partition(",")
-            if not sep:
-                raise DataError(f"{path}: line {lineno}: expected 'id,value'")
-            if ident in seen:
-                raise DataError(f"{path}: line {lineno}: duplicate id {ident!r}")
-            seen.add(ident)
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: cannot parse value {text!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: line {lineno}: value {text!r} is not finite")
-            ids.append(ident)
-            values.append(value)
-    if not ids:
-        raise DataError(f"{path}: no phenotype rows")
+    for lineno, (ident, text) in rows:
+        ids.append(ident)
+        values.append(finite_float(text, path, lineno))
     return ids, np.array(values, dtype=np.float64)
 
 

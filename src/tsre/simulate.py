@@ -72,6 +72,9 @@ class ScenarioConfig:
         return self.m_a + self.m_b + self.m_c + self.m_d
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         for name in ("m_a", "m_b", "m_c", "m_d"):
@@ -267,8 +270,8 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 def load_scenario(path) -> ScenarioConfig:
     """Parse a flat `key = value` scenario file.
 
-    Blank lines and lines starting with '#' are ignored; unknown keys are an
-    error rather than a silent no-op.
+    Blank lines and lines starting with '#' are ignored; unknown and
+    repeated keys are errors rather than silent no-ops.
     """
     values: dict[str, object] = {}
     with open_text(path) as fh:
@@ -283,6 +286,8 @@ def load_scenario(path) -> ScenarioConfig:
             text = text.strip()
             if key not in _PARSERS:
                 raise ConfigError(f"{path}: line {lineno}: unknown key '{key}'")
+            if key in values:
+                raise ConfigError(f"{path}: line {lineno}: repeated key '{key}'")
             try:
                 values[key] = _PARSERS[key](text)
             except ValueError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, EstimationError, open_text
+from .errors import DataError, EstimationError, finite_float, read_csv
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -124,29 +124,11 @@ def save_summaries(summaries: list[VariantSummary], path) -> None:
 
 
 def load_summaries(path) -> list[VariantSummary]:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty summary file") from None
-        if header != _CSV_HEADER:
-            raise DataError(f"{path}: unexpected summary header {header}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_CSV_HEADER):
-                raise DataError(f"{path}: line {lineno}: expected {len(_CSV_HEADER)} fields")
-            try:
-                out.append(
-                    VariantSummary(
-                        variant_id=row[0],
-                        gamma_x=float(row[1]),
-                        se_x=float(row[2]),
-                        gamma_y=float(row[3]),
-                        se_y=float(row[4]),
-                        p_x=float(row[5]),
-                    )
-                )
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-numeric summary value") from None
-    return out
+    rows = read_csv(path)
+    header = next(rows)
+    if header != _CSV_HEADER:
+        raise DataError(f"{path}: unexpected summary header {header}")
+    return [
+        VariantSummary(ident, *(finite_float(text, path, lineno) for text in numbers))
+        for lineno, (ident, *numbers) in rows
+    ]

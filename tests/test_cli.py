@@ -158,6 +158,21 @@ class TestEstimateCommand:
         assert main(argv) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_genotype_id_exits_three(self, dataset, tmp_path, capsys):
+        lines = (dataset / "genotypes.csv").read_text().splitlines()
+        first = lines[1].split(",")[0]
+        lines[2] = ",".join([first, *lines[2].split(",")[1:]])
+        dup = tmp_path / "dup.csv"
+        dup.write_text("\n".join(lines) + "\n")
+        argv = self._argv(dataset, "ivw")
+        argv[argv.index("--genotypes") + 1] = str(dup)
+        assert main(argv) == 3
+        assert f"line 3: duplicate id '{first}'" in capsys.readouterr().err
+
+    def test_non_finite_cutoff_exits_two(self, dataset, capsys):
+        assert main(self._argv(dataset, "tsre", "--grm-cutoff", "nan")) == 2
+        assert "cutoff" in capsys.readouterr().err
+
     def test_unknown_method_exits_two(self, dataset):
         with pytest.raises(SystemExit) as err:
             main(self._argv(dataset, "bogus"))
@@ -172,6 +187,7 @@ class TestEstimateCommand:
         "non_utf8_phenotype",
         "non_utf8_config",
         "non_utf8_genotypes",
+        "oversized_field_genotypes",
     ],
 )
 def test_unreadable_input_exits_three(dataset, tmp_path, capsys, case):
@@ -180,7 +196,10 @@ def test_unreadable_input_exits_three(dataset, tmp_path, capsys, case):
         bad.mkdir()
     else:
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"\xff\xfeid,value\n")
+        if case.startswith("oversized"):  # beyond the csv module's field size limit
+            bad.write_bytes(b"id,v1\n" + b"i" * 200_000 + b",0\n")
+        else:
+            bad.write_bytes(b"\xff\xfeid,value\n")
     if "config" in case:
         argv = ["theory", "--config", str(bad)]
     else:
@@ -223,6 +242,13 @@ class TestReplicateCommand:
         rc = main(["replicate", "--target", "table2", "--seed", "-1", "--out", str(tmp_path)])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--reps", "--threads"])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, flag):
+        out = tmp_path / "rep"
+        rc = main(["replicate", "--target", "table2", flag, "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_custom_requires_config(self, tmp_path, capsys):
         rc = main(["replicate", "--target", "custom", "--out", str(tmp_path / "x")])

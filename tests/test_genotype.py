@@ -168,9 +168,10 @@ class TestFilterRelated:
                 if u != v:
                     assert abs(a[u, v]) < cutoff
 
-    def test_cutoff_must_be_positive(self):
+    @pytest.mark.parametrize("cutoff", [0.0, -0.1, np.nan, np.inf])
+    def test_cutoff_must_be_positive(self, cutoff):
         with pytest.raises(ConfigError):
-            filter_related(self._grm_from_dense(np.eye(3)), 0.0)
+            filter_related(self._grm_from_dense(np.eye(3)), cutoff)
 
     def test_degenerate_result_is_an_error(self):
         a = np.full((3, 3), 0.9)
@@ -200,9 +201,18 @@ class TestGenotypeIO:
         back = load_genotypes(path)
         assert back.individual_ids == ["alice", "bob"]
 
-    def test_bad_dosage_rejected_with_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,v1\ni1,0\ni2,3\n",
+            # the first fault in the file is reported, not a later ragged row
+            "id,v1,v2\ni1,0,1\ni2,1,3\ni3,2,0\ni4,1\n",
+        ],
+        ids=["bad_cell", "bad_cell_then_ragged"],
+    )
+    def test_bad_dosage_rejected_with_line_number(self, tmp_path, text):
         path = tmp_path / "g.csv"
-        path.write_text("id,v1\ni1,0\ni2,3\n")
+        path.write_text(text)
         with pytest.raises(DataError, match="line 3"):
             load_genotypes(path)
 
@@ -211,6 +221,20 @@ class TestGenotypeIO:
         path.write_text("id,v1,v2\ni1,0,1\ni2,0\n")
         with pytest.raises(DataError, match="line 3"):
             load_genotypes(path)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("id,v1\ni1,0\ni1,2\n")
+        with pytest.raises(DataError, match="line 3: duplicate id 'i1'"):
+            load_genotypes(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("id,v1,v2\n\ni1,0,1\n\ni2,2,1\n\n")
+        back = load_genotypes(path)
+        assert back.individual_ids == ["i1", "i2"]
+        assert back.dosages.dtype == np.int8 and back.dosages.flags.c_contiguous
+        assert back.dosages.tolist() == [[0, 1], [2, 1]]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "g.csv"

@@ -254,9 +254,10 @@ class TestPhenotypeIO:
         with pytest.raises(DataError, match="header"):
             load_phenotype(path)
 
-    def test_bad_value_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("row", ["b,oops", "b,1.0,2.0"])
+    def test_bad_value_reports_line(self, tmp_path, row):
         path = tmp_path / "p.csv"
-        path.write_text("id,value\na,1.0\nb,oops\n")
+        path.write_text(f"id,value\na,1.0\n{row}\n")
         with pytest.raises(DataError, match="line 3"):
             load_phenotype(path)
 

@@ -72,6 +72,9 @@ class TestScenarioConfig:
             dict(maf_low=0.0),
             dict(maf_low=0.5, maf_high=0.4),
             dict(strong_groups="bd"),
+            dict(sigma_gb=float("nan")),
+            dict(theta=float("inf")),
+            dict(sigma2_ex=float("inf")),
         ],
     )
     def test_validate_rejects(self, bad):
@@ -263,14 +266,21 @@ class TestScenarioIO:
         with pytest.raises(ConfigError, match="line 1"):
             load_scenario(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("n = 100\nm_b = 3\nn = 50\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            load_scenario(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("n 50\n")
         with pytest.raises(ConfigError, match="line 1"):
             load_scenario(path)
 
-    def test_invalid_config_rejected_on_load(self, tmp_path):
+    @pytest.mark.parametrize("line", ["rho_gc = 7", "sigma_gb = nan", "theta = inf"])
+    def test_invalid_config_rejected_on_load(self, tmp_path, line):
         path = tmp_path / "s.cfg"
-        path.write_text("n = 50\nm_b = 3\nrho_gc = 7\n")
+        path.write_text(f"n = 50\nm_b = 3\n{line}\n")
         with pytest.raises(ConfigError):
             load_scenario(path)

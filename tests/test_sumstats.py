@@ -146,16 +146,29 @@ class TestSummaryIO:
         with pytest.raises(DataError, match="line 2"):
             load_summaries(path)
 
-    def test_non_numeric_value_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("bad", ["oops", "nan", "inf"])
+    def test_non_numeric_value_reports_line(self, tmp_path, bad):
         path = tmp_path / "s.csv"
         path.write_text(
-            "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\nv1,0.1,0.2,0.3,0.4,oops\n"
+            f"variant_id,gamma_x,se_x,gamma_y,se_y,p_x\nv1,0.1,0.2,0.3,0.4,{bad}\n"
         )
         with pytest.raises(DataError, match="line 2"):
             load_summaries(path)
 
-    def test_empty_file(self, tmp_path):
+    def test_repeated_variant_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("")
+        path.write_text(
+            "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\n"
+            "v1,0.1,0.2,0.3,0.4,0.5\nv1,0.1,0.2,0.3,0.4,0.5\n"
+        )
+        with pytest.raises(DataError, match="line 3: duplicate id 'v1'"):
+            load_summaries(path)
+
+    @pytest.mark.parametrize(
+        "text", ["", "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\n"], ids=["empty", "header_only"]
+    )
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
         with pytest.raises(DataError):
             load_summaries(path)

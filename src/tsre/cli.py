@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, write_csv
 from .genotype import compute_grm, load_genotypes, save_genotypes, save_grm, standardize
 from .harness import (
     METHOD_TAGS,
@@ -115,10 +116,13 @@ def _cmd_simulate(args) -> int:
     group = np.repeat(
         list("abcd"), [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
     )
-    with open(os.path.join(args.out, "effects.csv"), "w") as fh:
-        fh.write("variant_id,group,beta,alpha\n")
-        for k, vid in enumerate(gm.variant_ids):
-            fh.write(f"{vid},{group[k]},{beta[k]!r},{alpha[k]!r}\n")
+    effects_path = os.path.join(args.out, "effects.csv")
+    with open(effects_path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(
+            fh,
+            ["variant_id", "group", "beta", "alpha"],
+            zip(gm.variant_ids, group.tolist(), beta.tolist(), alpha.tolist()),
+        )
     for name in ("genotypes.csv", "exposure.csv", "outcome.csv", "effects.csv"):
         print(os.path.join(args.out, name))
     return 0
@@ -143,7 +147,7 @@ def _cmd_estimate(args) -> int:
         grm_cutoff=args.grm_cutoff,
         grm_path=args.grm,
     )
-    sys.stdout.write(result.csv())
+    write_csv(sys.stdout, [f.name for f in fields(result)], [astuple(result)])
     return 0
 
 
@@ -181,9 +185,7 @@ def _cmd_theory(args) -> int:
         ("se_theta", var_theta**0.5),
         ("heritability", heritability(cfg)),
     ]
-    print("quantity,value")
-    for name, value in rows:
-        print(f"{name},{value!r}")
+    write_csv(sys.stdout, ["quantity", "value"], rows)
     return 0
 
 

@@ -59,19 +59,15 @@ class PairMoments:
 class TsreFit:
     """Result of the two-slope ratio fit.
 
-    eta_hat is the exposure-pair slope, delta_hat the cross-pair slope, and
-    theta_hat = delta_hat / eta_hat.  tau2_hat is the plug-in asymptotic
-    variance scale with se = sqrt(tau2_hat / n_pairs).
+    theta_hat is the ratio of the cross-pair slope to the exposure-pair
+    slope; se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic
+    variance scale.  m is the number of variants behind the GRM.
     """
 
-    eta_hat: float
-    delta_hat: float
     theta_hat: float
     se: float
-    tau2_hat: float
     n: int
     m: int
-    mode: str
 
 
 def _check_inputs(a: Grm, x, y, min_n: int):
@@ -99,6 +95,11 @@ def pair_moments(a: Grm, x, y) -> PairMoments:
     cost is a few passes over the triangle plus O(n) vector work.
     """
     x, y = _check_inputs(a, x, y, min_n=2)
+    return _pair_moments(a, x, y)
+
+
+def _pair_moments(a: Grm, x: np.ndarray, y: np.ndarray) -> PairMoments:
+    # pair_moments on inputs _check_inputs has already passed
     s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
@@ -120,12 +121,11 @@ def pair_moments(a: Grm, x, y) -> PairMoments:
 
 
 def _slopes(pm: PairMoments, mode: str) -> tuple[float, float, float, float]:
-    """Return (numerator, denominator, slope scale, exposure-pair spread).
+    """Return (numerator, denominator, GRM spread, exposure-pair spread).
 
     The numerator/denominator are the pair sums whose ratio is theta_hat;
-    the slope scale converts them into the reported regression slopes; the
-    spread is the matching sum of squares of the regressor, used by the
-    weak-signal guard.
+    the two spreads are the matching sums of squares of the GRM entries and
+    of the exposure pair products, used by the weak-signal guard.
     """
     if mode == "covariance":
         npairs = pm.n_pairs
@@ -163,26 +163,17 @@ def tsre_estimate(a: Grm, x, y, centering: str = "covariance") -> TsreFit:
     x, y = _check_inputs(a, x, y, min_n=3)
     xc = x - x.mean()
     yc = y - y.mean()
-    pm = pair_moments(a, xc, yc)
+    pm = _pair_moments(a, xc, yc)
     num, den, scale, spread = _slopes(pm, centering)
     _guard_denominator(den, scale, spread)
     if scale <= 0:
         raise EstimationError("degenerate GRM: pair entries have no spread")
     theta = num / den
-    tau2, se = _plugin_variance(pm, den, theta, xc, yc, a.m_effective)
-    return TsreFit(
-        eta_hat=den / scale,
-        delta_hat=num / scale,
-        theta_hat=theta,
-        se=se,
-        tau2_hat=tau2,
-        n=a.n,
-        m=a.m_effective,
-        mode=centering,
-    )
+    se = _plugin_se(pm, den, theta, xc, yc, a.m_effective)
+    return TsreFit(theta_hat=theta, se=se, n=a.n, m=a.m_effective)
 
 
-def _plugin_variance(pm, den, theta, xc, yc, m) -> tuple[float, float]:
+def _plugin_se(pm, den, theta, xc, yc, m) -> float:
     # The asymptotic variance scale is
     #   tau2 = Var(X) * Var(Y - theta X) / (m * cov(A, XX)^2)
     # with cov(A, XX) the per-pair average of the fitted denominator, i.e.
@@ -192,7 +183,7 @@ def _plugin_variance(pm, den, theta, xc, yc, m) -> tuple[float, float]:
     resid = yc - theta * xc
     var_r = float(np.var(resid, ddof=1))
     tau2 = var_x * var_r / (m * cov_axx**2)
-    return tau2, math.sqrt(tau2 / pm.n_pairs)
+    return math.sqrt(tau2 / pm.n_pairs)
 
 
 def moment_diagnostic(
@@ -209,7 +200,7 @@ def moment_diagnostic(
     x, y = _check_inputs(a, x, y, min_n=2)
     xc = x - x.mean()
     yc = y - y.mean()
-    pm = pair_moments(a, xc, yc)
+    pm = _pair_moments(a, xc, yc)
     npairs = pm.n_pairs
     if centering == "covariance":
         a_bar = pm.s_a / npairs

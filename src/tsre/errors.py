@@ -87,3 +87,14 @@ def finite_float(text, path, lineno) -> float:
     if not math.isfinite(value):
         raise DataError(f"{path}: line {lineno}: value {text!r} is not finite")
     return value
+
+
+def write_csv(fh, header, rows) -> None:
+    """Write a header row, then the rows, as CSV with `\\n` line ends.
+
+    A field is quoted only when it holds a comma, a quote or a line break.
+    Python and NumPy floats are written as repr(float(v)) writes them.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -10,13 +10,12 @@ which is all the downstream pairwise machinery ever reads.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError, read_csv
+from .errors import ConfigError, DataError, EstimationError, read_csv, write_csv
 
 __all__ = [
     "GenotypeMatrix",
@@ -141,7 +140,7 @@ def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:
     """
     values = gm.dosages.astype(np.float64)
     values -= values.mean(axis=0)
-    sd = np.sqrt(np.mean(values * values, axis=0))
+    sd = np.sqrt(np.einsum("ij,ij->j", values, values) / gm.n)
     keep = sd > 0.0
     dropped = np.flatnonzero(~keep)
     if not keep.any():
@@ -184,6 +183,12 @@ def compute_grm(std: StandardizedGenotypes) -> Grm:
     return Grm(n=n, lower_triangle=tri, m_effective=m_eff)
 
 
+def check_cutoff(cutoff: float) -> None:
+    """A relatedness cutoff must be positive and finite (a ConfigError otherwise)."""
+    if not 0.0 < cutoff < np.inf:
+        raise ConfigError("relatedness cutoff must be positive and finite")
+
+
 def filter_related(grm: Grm, cutoff: float) -> np.ndarray:
     """Greedily prune individuals until no off-diagonal |A_ij| >= cutoff.
 
@@ -191,8 +196,7 @@ def filter_related(grm: Grm, cutoff: float) -> np.ndarray:
     pairs is removed (ties go to the lower index).  Returns the retained
     indices in ascending order.
     """
-    if not 0.0 < cutoff < np.inf:
-        raise ConfigError("relatedness cutoff must be positive and finite")
+    check_cutoff(cutoff)
     n = grm.n
     tri = grm.lower_triangle
     neighbors: list[set[int]] = [set() for _ in range(n)]
@@ -227,11 +231,12 @@ def save_genotypes(gm: GenotypeMatrix, path) -> None:
     if ids is None:
         width = max(6, len(str(gm.n)))
         ids = [f"i{r:0{width}d}" for r in range(1, gm.n + 1)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *gm.variant_ids])
-        for r in range(gm.n):
-            writer.writerow([ids[r], *map(int, gm.dosages[r])])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(
+            fh,
+            ["id", *gm.variant_ids],
+            ([ident, *row] for ident, row in zip(ids, gm.dosages.tolist())),
+        )
 
 
 def load_genotypes(path) -> GenotypeMatrix:

@@ -12,18 +12,27 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .engine import tsre_estimate
-from .errors import ConfigError, DataError, EstimationError, TsreError, finite_float, read_csv
+from .errors import (
+    ConfigError,
+    DataError,
+    EstimationError,
+    TsreError,
+    finite_float,
+    read_csv,
+    write_csv,
+)
 from .estimators import egger, ivw, simple_median, tsls, weighted_median
 from .genotype import (
     GenotypeMatrix,
     Grm,
     StandardizedGenotypes,
+    check_cutoff,
     compute_grm,
     filter_related,
     load_genotypes,
@@ -55,11 +64,12 @@ __all__ = [
     "builtin_rows",
 ]
 
-RESULT_HEADER = "target,row_id,method,selection,mean,sd_mc,mean_se,bias,mse,reps,reps_failed"
-LONG_HEADER = "target,row_id,method,selection,rep,estimate,se"
+RESULT_HEADER = ["target", "row_id", "method", "selection", "mean", "sd_mc", "mean_se",
+                 "bias", "mse", "reps", "reps_failed"]
+LONG_HEADER = ["target", "row_id", "method", "selection", "rep", "estimate", "se"]
 
-# Default comparator set for the builtin tables; 2SLS is available through
-# the CLI and custom targets but is not part of the table layouts.
+# Default comparator set for the builtin tables and the custom target; 2SLS
+# runs only through `tsre estimate --method tsls`.
 DEFAULT_METHODS = ("sm", "wm", "ivw", "egger", "tsre")
 METHOD_TAGS = ("sm", "wm", "ivw", "ivw_fe", "egger", "tsre", "tsls")
 
@@ -103,18 +113,9 @@ class ReplicateResult:
     ses: np.ndarray
     rep_index: np.ndarray
 
-    def csv_row(self, target: str) -> str:
-        stats = (self.mean, self.sd_mc, self.mean_se, self.bias, self.mse)
-        cells = [
-            target,
-            self.row_id,
-            self.method,
-            self.selection,
-            *(repr(float(v)) for v in stats),
-            str(self.reps),
-            str(self.reps_failed),
-        ]
-        return ",".join(cells)
+    def csv_row(self, target: str) -> list:
+        """This result's row of the results file, under RESULT_HEADER."""
+        return [target, *(getattr(self, name) for name in RESULT_HEADER[1:])]
 
 
 def parse_selection(text: str) -> tuple[str, int | float | None]:
@@ -509,14 +510,6 @@ def builtin_rows(target: str, config: ScenarioConfig | None = None):
     return TARGETS[target]()
 
 
-def _format_config_row(row_id: str, cfg: ScenarioConfig) -> str:
-    cells = [row_id]
-    for f in fields(ScenarioConfig):
-        value = getattr(cfg, f.name)
-        cells.append(repr(value) if isinstance(value, float) else str(value))
-    return ",".join(cells)
-
-
 def reproduce_table(
     target: str,
     out_dir,
@@ -542,38 +535,37 @@ def reproduce_table(
     long_path = os.path.join(out_dir, f"{target}_estimates_long.csv")
     written = [results_path, scen_path]
 
-    all_results: list[tuple[str, list[ReplicateResult]]] = []
+    results: list[ReplicateResult] = []
     for row_key, (row_id, cfg, jobs) in enumerate(rows):
-        row_results = run_scenario(
+        results += run_scenario(
             cfg, spec, row_key=row_key, row_id=row_id, jobs=jobs, threads=threads
         )
-        all_results.append((row_id, row_results))
 
-    with open(results_path, "w") as fh:
+    with open(results_path, "w", encoding="utf-8", newline="") as fh:
         if target != "custom":
             fh.write(_OMITTED_NOTE + "\n")
-        fh.write(RESULT_HEADER + "\n")
-        for _, row_results in all_results:
-            for res in row_results:
-                fh.write(res.csv_row(target) + "\n")
+        write_csv(fh, RESULT_HEADER, (res.csv_row(target) for res in results))
 
-    with open(scen_path, "w") as fh:
-        names = ",".join(f.name for f in fields(ScenarioConfig))
-        fh.write(f"row_id,{names}\n")
-        for row_key, (row_id, cfg, _) in enumerate(rows):
-            fh.write(_format_config_row(row_id, cfg) + "\n")
+    with open(scen_path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(
+            fh,
+            ["row_id", *(f.name for f in fields(ScenarioConfig))],
+            ([row_id, *astuple(cfg)] for row_id, cfg, _ in rows),
+        )
 
     if target in _LONG_TARGETS:
-        with open(long_path, "w") as fh:
-            fh.write(LONG_HEADER + "\n")
-            for _, row_results in all_results:
-                for res in row_results:
-                    for i in range(res.estimates.size):
-                        fh.write(
-                            f"{target},{res.row_id},{res.method},{res.selection},"
-                            f"{res.rep_index[i]},{float(res.estimates[i])!r},"
-                            f"{float(res.ses[i])!r}\n"
-                        )
+        with open(long_path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(
+                fh,
+                LONG_HEADER,
+                (
+                    [target, res.row_id, res.method, res.selection, rep, est, se]
+                    for res in results
+                    for rep, est, se in zip(
+                        res.rep_index.tolist(), res.estimates.tolist(), res.ses.tolist()
+                    )
+                ),
+            )
         written.append(long_path)
     return written
 
@@ -591,22 +583,13 @@ class RealDataResult:
     n: int
     m_used: int
 
-    def csv(self) -> str:
-        return (
-            "method,theta_hat,se,n,m_used\n"
-            f"{self.method},{float(self.theta_hat)!r},{float(self.se)!r},"
-            f"{self.n},{self.m_used}\n"
-        )
-
 
 def save_phenotype(path, ids, values) -> None:
     values = np.asarray(values, dtype=np.float64)
     if len(ids) != values.size:
         raise DataError("phenotype ids and values disagree in length")
-    with open(path, "w") as fh:
-        fh.write("id,value\n")
-        for i, v in zip(ids, values):
-            fh.write(f"{i},{float(v)!r}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, ["id", "value"], zip(ids, values.tolist()))
 
 
 def load_phenotype(path) -> tuple[list[str], np.ndarray]:
@@ -659,6 +642,29 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     )
 
 
+def _check_grm(grm: Grm, std: StandardizedGenotypes, ids, path) -> None:
+    """A precomputed GRM must be the all-variant GRM of the aligned sample:
+    the same n and m, and the diagonal |z_i|^2 / m of its standardized rows."""
+    if grm.n != std.n:
+        raise DataError(
+            f"{path}: GRM has n={grm.n} but {std.n} individuals remain after alignment"
+        )
+    if grm.m_effective != std.m:
+        raise DataError(
+            f"{path}: GRM was built from {grm.m_effective} variants but the "
+            f"genotypes have {std.m} polymorphic variants"
+        )
+    diag = np.einsum("ij,ij->i", std.values, std.values) / std.m
+    # written so that a NaN on either side counts as a mismatch
+    bad = np.flatnonzero(~(np.abs(grm.diagonal() - diag) <= 1e-9 * np.abs(diag)))
+    if bad.size:
+        raise DataError(
+            f"{path}: GRM diagonal does not match the genotypes for {bad.size} of "
+            f"{std.n} individuals (first: {ids[bad[0]]!r}); was it built from "
+            "another sample?"
+        )
+
+
 def estimate_real(
     genotypes,
     exposure,
@@ -672,11 +678,14 @@ def estimate_real(
 
     grm_cutoff removes one member of every pair more related than the
     cutoff before estimation; grm_path supplies a precomputed GRM for that
-    filtering step and for the pair regression (it must match the aligned
-    sample).  Genotypes are re-standardized after any filtering.
+    filtering step and for the pair regression; it must match the aligned
+    sample in n, m and its diagonal.  Genotypes are re-standardized after any
+    filtering.
     """
     selection = selection or default_selection(method)
     _check_jobs([(method, selection)])
+    if grm_cutoff is not None:
+        check_cutoff(grm_cutoff)
 
     gm = load_genotypes(genotypes)
     rows, ids, x, y = _align(gm, load_phenotype(exposure), load_phenotype(outcome))
@@ -686,11 +695,7 @@ def estimate_real(
     grm = None
     if grm_path is not None:
         grm = load_grm(grm_path)
-        if grm.n != gm.n:
-            raise DataError(
-                f"precomputed GRM has n={grm.n} but {gm.n} individuals remain "
-                "after alignment"
-            )
+        _check_grm(grm, std, ids, grm_path)
     if grm_cutoff is not None:
         if grm is None:
             grm = compute_grm(std)

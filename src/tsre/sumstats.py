@@ -9,14 +9,13 @@ CSV with no genotype access.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
-from .errors import DataError, EstimationError, finite_float, read_csv
+from .errors import DataError, EstimationError, finite_float, read_csv, write_csv
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -41,8 +40,7 @@ class VariantSummary:
     p_x: float
 
 
-def _marginal(z: np.ndarray, trait: np.ndarray, n: int):
-    gram = np.einsum("ij,ij->j", z, z)
+def _marginal(z: np.ndarray, gram: np.ndarray, trait: np.ndarray, n: int):
     slope = (z.T @ trait) / gram
     rss = np.maximum(trait @ trait - slope * slope * gram, 0.0)
     se = np.sqrt(rss / (n - 2) / gram)
@@ -62,11 +60,12 @@ def per_variant_regression(
         raise DataError("trait vectors must match the number of individuals")
     xc = x - x.mean()
     yc = y - y.mean()
-    gx, se_x = _marginal(std.values, xc, n)
-    gy, se_y = _marginal(std.values, yc, n)
+    gram = np.einsum("ij,ij->j", std.values, std.values)
+    gx, se_x = _marginal(std.values, gram, xc, n)
+    gy, se_y = _marginal(std.values, gram, yc, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.abs(gx) / se_x
-    p_x = 2.0 * stats.t.sf(tstat, df=n - 2)
+    p_x = 2.0 * stdtr(n - 2, -tstat)
     # se 0 with slope 0 means a constant trait: no evidence either way.
     p_x = np.where(np.isnan(tstat), 1.0, p_x)
     return [
@@ -114,13 +113,8 @@ def select_by_pvalue(summaries: list[VariantSummary], alpha: float) -> list[int]
 
 
 def save_summaries(summaries: list[VariantSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for s in summaries:
-            writer.writerow(
-                [s.variant_id, repr(s.gamma_x), repr(s.se_x), repr(s.gamma_y), repr(s.se_y), repr(s.p_x)]
-            )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(fh, _CSV_HEADER, map(astuple, summaries))
 
 
 def load_summaries(path) -> list[VariantSummary]:

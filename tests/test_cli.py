@@ -48,6 +48,8 @@ class TestSimulate:
         assert len(lines) == 1 + 33
         groups = [line.split(",")[1] for line in lines[1:]]
         assert groups == ["b"] * 25 + ["c"] * 8
+        effects = [[float(v) for v in line.split(",")[2:]] for line in lines[1:]]
+        assert np.isfinite(effects).all()
 
     def test_deterministic_given_seed(self, tmp_path, scenario_file):
         a = tmp_path / "a"
@@ -129,6 +131,19 @@ class TestEstimateCommand:
         assert rc == rc2 == 0
         assert with_grm == plain
 
+    def test_grm_of_another_sample_exits_three(self, dataset, tmp_path, capsys):
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(SCENARIO.replace("seed = 21", "seed = 22"))
+        other = tmp_path / "other"
+        assert main(["simulate", "--config", str(other_cfg), "--out", str(other)]) == 0
+        grm_path = tmp_path / "other.grm"
+        main(["grm", "--genotypes", str(other / "genotypes.csv"), "--out", str(grm_path)])
+        assert load_grm(grm_path).n == 120
+        capsys.readouterr()
+        assert main(self._argv(dataset, "tsre", "--grm", str(grm_path))) == 3
+        err = capsys.readouterr().err
+        assert str(grm_path) in err and "diagonal" in err
+
     def test_bad_selection_exits_two(self, dataset, capsys):
         assert main(self._argv(dataset, "ivw", "--select", "bogus")) == 2
 
@@ -169,8 +184,13 @@ class TestEstimateCommand:
         assert main(argv) == 3
         assert f"line 3: duplicate id '{first}'" in capsys.readouterr().err
 
-    def test_non_finite_cutoff_exits_two(self, dataset, capsys):
-        assert main(self._argv(dataset, "tsre", "--grm-cutoff", "nan")) == 2
+    def test_non_finite_cutoff_exits_two(self, dataset, tmp_path, capsys):
+        argv = self._argv(dataset, "tsre", "--grm-cutoff", "nan")
+        assert main(argv) == 2
+        assert "cutoff" in capsys.readouterr().err
+        # the cutoff is checked before any file is read
+        argv[argv.index("--genotypes") + 1] = str(tmp_path / "missing.csv")
+        assert main(argv) == 2
         assert "cutoff" in capsys.readouterr().err
 
     def test_unknown_method_exits_two(self, dataset):

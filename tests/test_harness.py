@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError
 from tsre.genotype import (
@@ -235,11 +236,14 @@ class TestReproduceTable:
 
 
 class TestPhenotypeIO:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "names", [["a", "b", "c"], ['"a', "a,b", " b"]], ids=["plain", "quoted"]
+    )
+    def test_round_trip(self, tmp_path, names):
         path = tmp_path / "p.csv"
-        save_phenotype(path, ["a", "b", "c"], [1.5, -2.25, 0.125])
+        save_phenotype(path, names, [1.5, -2.25, 0.125])
         ids, vals = load_phenotype(path)
-        assert ids == ["a", "b", "c"]
+        assert ids == names
         assert np.array_equal(vals, [1.5, -2.25, 0.125])
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -367,6 +371,11 @@ class TestEstimateReal:
         save_grm(compute_grm(small), grm_path)
         with pytest.raises(DataError, match="n=10"):
             estimate_real(gpath, xpath, ypath, method="tsre", grm_path=grm_path)
+        narrow = standardize(load_genotypes(gpath))
+        narrow = type(narrow)(values=narrow.values[:, :5], variant_ids=narrow.variant_ids[:5])
+        save_grm(compute_grm(narrow), grm_path)
+        with pytest.raises(DataError, match="built from 5 variants"):
+            estimate_real(gpath, xpath, ypath, method="tsre", grm_path=grm_path)
 
     def test_relatedness_filter_drops_a_duplicate(self, real_data, tmp_path):
         gpath, xpath, ypath, gm, pheno = real_data
@@ -392,10 +401,13 @@ class TestEstimateReal:
         with pytest.raises(ConfigError):
             estimate_real(gpath, xpath, ypath, selection="frac:0.2")
 
-    def test_csv_rendering(self, real_data):
+    def test_csv_rendering(self, real_data, capsys):
         gpath, xpath, ypath, *_ = real_data
         res = estimate_real(gpath, xpath, ypath, method="ivw")
-        text = res.csv()
+        argv = ["estimate", "--method", "ivw", "--genotypes", str(gpath),
+                "--exposure", str(xpath), "--outcome", str(ypath)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
         header, row, _ = text.split("\n")
         assert header == "method,theta_hat,se,n,m_used"
         cells = row.split(",")

@@ -9,7 +9,6 @@ Monte-Carlo replication harness with a command line front end.
 
 from .engine import (
     PairMoments,
-    TsreFit,
     moment_diagnostic,
     pair_moments,
     tsre_estimate,
@@ -105,7 +104,6 @@ __all__ = [
     "simple_median",
     "weighted_median",
     "PairMoments",
-    "TsreFit",
     "pair_moments",
     "tsre_estimate",
     "moment_diagnostic",

@@ -152,13 +152,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    config = None
-    if args.target == "custom":
-        if args.config is None:
-            raise ConfigError("--config is required for the custom target")
-        config = load_scenario(args.config)
-    elif args.config is not None:
-        raise ConfigError("--config only applies to the custom target")
+    config = None if args.config is None else load_scenario(args.config)
     written = reproduce_table(
         args.target,
         args.out,

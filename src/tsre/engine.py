@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, centre_traits, check_traits
+from .estimators import Estimate
 from .genotype import Grm
 
 __all__ = [
     "PairMoments",
-    "TsreFit",
     "pair_moments",
     "tsre_estimate",
     "moment_diagnostic",
@@ -55,36 +55,6 @@ class PairMoments:
     n_pairs: int
 
 
-@dataclass(frozen=True)
-class TsreFit:
-    """Result of the two-slope ratio fit.
-
-    theta_hat is the ratio of the cross-pair slope to the exposure-pair
-    slope; se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic
-    variance scale.  m is the number of variants behind the GRM.
-    """
-
-    theta_hat: float
-    se: float
-    n: int
-    m: int
-
-
-def _check_inputs(a: Grm, x, y, min_n: int):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if x.shape != (a.n,) or y.shape != (a.n,):
-        raise DataError(
-            f"phenotype length mismatch: GRM has n={a.n}, exposure has "
-            f"{x.shape[0]}, outcome has {y.shape[0]}"
-        )
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DataError("exposure and outcome must be finite (found NaN or inf)")
-    if a.n < min_n:
-        raise DataError(f"need at least {min_n} individuals, got {a.n}")
-    return x, y
-
-
 def pair_moments(a: Grm, x, y) -> PairMoments:
     """Accumulate the pair sums for a GRM and a phenotype pair.
 
@@ -94,12 +64,9 @@ def pair_moments(a: Grm, x, y) -> PairMoments:
     sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, so the
     cost is a few passes over the triangle plus O(n) vector work.
     """
-    x, y = _check_inputs(a, x, y, min_n=2)
-    return _pair_moments(a, x, y)
-
-
-def _pair_moments(a: Grm, x: np.ndarray, y: np.ndarray) -> PairMoments:
-    # pair_moments on inputs _check_inputs has already passed
+    if a.n < 2:
+        raise DataError(f"need at least 2 individuals, got {a.n}")
+    x, y = check_traits(a.n, x, y)
     s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
@@ -152,25 +119,26 @@ def _guard_denominator(den: float, scale: float, spread: float):
         )
 
 
-def tsre_estimate(a: Grm, x, y, centering: str = "covariance") -> TsreFit:
+def tsre_estimate(a: Grm, x, y, centering: str = "covariance") -> Estimate:
     """Fit the slope-ratio estimator on a GRM and phenotype pair.
 
     Both traits are mean-centered internally.  In "covariance" mode (the
     default) theta_hat is the ratio of the pair covariances of A with the
     cross and exposure products; "raw" mode uses uncentered pair sums, the
-    normal-equation form.
+    normal-equation form.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in
+    asymptotic variance scale; n_iv is the number of variants behind the GRM.
     """
-    x, y = _check_inputs(a, x, y, min_n=3)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    pm = _pair_moments(a, xc, yc)
+    if a.n < 3:
+        raise DataError(f"need at least 3 individuals, got {a.n}")
+    xc, yc = centre_traits(a.n, x, y)
+    pm = pair_moments(a, xc, yc)
     num, den, scale, spread = _slopes(pm, centering)
     _guard_denominator(den, scale, spread)
     if scale <= 0:
         raise EstimationError("degenerate GRM: pair entries have no spread")
     theta = num / den
     se = _plugin_se(pm, den, theta, xc, yc, a.m_effective)
-    return TsreFit(theta_hat=theta, se=se, n=a.n, m=a.m_effective)
+    return Estimate(method="tsre", theta_hat=theta, se=se, n_iv=a.m_effective)
 
 
 def _plugin_se(pm, den, theta, xc, yc, m) -> float:
@@ -197,10 +165,10 @@ def moment_diagnostic(
     the pair-sample standard error.  At the covariance-mode theta_hat the
     mean vanishes identically (the estimator's normal equation).
     """
-    x, y = _check_inputs(a, x, y, min_n=2)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    pm = _pair_moments(a, xc, yc)
+    if a.n < 2:
+        raise DataError(f"need at least 2 individuals, got {a.n}")
+    xc, yc = centre_traits(a.n, x, y)
+    pm = pair_moments(a, xc, yc)
     npairs = pm.n_pairs
     if centering == "covariance":
         a_bar = pm.s_a / npairs

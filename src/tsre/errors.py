@@ -5,12 +5,15 @@ problems (bad options, bad scenario files), data problems (unparseable or
 misaligned input files, shape mismatches), and numerical problems (degenerate
 or insufficient data reaching an estimator).  open_text turns an undecodable
 input file into a data problem; read_csv and finite_float hold the rules
-every CSV input follows.
+every CSV input follows, check_traits and centre_traits the rules every
+exposure and outcome vector follows on its way into an estimator.
 """
 
 import csv
 import math
 from contextlib import contextmanager
+
+import numpy as np
 
 __all__ = ["TsreError", "ConfigError", "DataError", "EstimationError"]
 
@@ -87,6 +90,37 @@ def finite_float(text, path, lineno) -> float:
     if not math.isfinite(value):
         raise DataError(f"{path}: line {lineno}: value {text!r} is not finite")
     return value
+
+
+def check_traits(n: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The exposure and outcome as float64 vectors of length n.
+
+    Any other shape, a NaN and an inf are each a DataError.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.shape != (n,) or y.shape != (n,):
+        raise DataError(
+            f"phenotype length mismatch: expected {n} values, exposure has shape "
+            f"{x.shape}, outcome has shape {y.shape}"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("exposure and outcome must be finite (found NaN or inf)")
+    return x, y
+
+
+def centre_traits(n: int, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The checked exposure and outcome minus their means.
+
+    A trait that holds one value throughout is an EstimationError: its
+    centred values would be rounding residue (about 1e-17 for 0.1 repeated),
+    which every estimator would read as signal.
+    """
+    x, y = check_traits(n, x, y)
+    for name, v in (("exposure", x), ("outcome", y)):
+        if v.min() == v.max():
+            raise EstimationError(f"no signal: the {name} does not vary")
+    return x - x.mean(), y - y.mean()
 
 
 def write_csv(fh, header, rows) -> None:

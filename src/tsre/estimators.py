@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, centre_traits
 from .sumstats import VariantSummary
 
 __all__ = [
@@ -74,8 +74,7 @@ def tsls(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
         raise DataError(f"two-stage least squares needs n >= K (got n={n}, K={k})")
     if n < 3:
         raise EstimationError("two-stage least squares needs at least 3 individuals")
-    xc = np.asarray(x, dtype=np.float64) - np.mean(x)
-    yc = np.asarray(y, dtype=np.float64) - np.mean(y)
+    xc, yc = centre_traits(n, x, y)
     coef, _, rank, _ = np.linalg.lstsq(g, xc, rcond=None)
     if rank < k:
         raise EstimationError("singular design: instrument columns are collinear")

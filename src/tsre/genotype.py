@@ -10,6 +10,7 @@ which is all the downstream pairwise machinery ever reads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -97,22 +98,9 @@ class Grm:
                 f"packed triangle has length {self.lower_triangle.shape}, expected ({expected},)"
             )
 
-    def element(self, i: int, j: int) -> float:
-        if j > i:
-            i, j = j, i
-        return float(self.lower_triangle[i * (i + 1) // 2 + j])
-
     def diagonal(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.int64)
         return self.lower_triangle[idx * (idx + 1) // 2 + idx]
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            off = i * (i + 1) // 2
-            out[i, : i + 1] = self.lower_triangle[off : off + i + 1]
-            out[: i + 1, i] = self.lower_triangle[off : off + i + 1]
-        return out
 
 
 def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> GenotypeMatrix:
@@ -282,9 +270,12 @@ def load_grm(path) -> Grm:
             raise DataError(f"{path}: truncated GRM header")
         n, m_eff = struct.unpack("<QQ", head)
         expected = n * (n + 1) // 2
-        tri = np.frombuffer(fh.read(), dtype="<f8")
-        if tri.shape != (expected,):
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * expected:
             raise DataError(
-                f"{path}: triangle has {tri.size} entries, expected {expected} for n={n}"
+                f"{path}: triangle has {size} bytes, expected {8 * expected} for n={n}"
             )
-    return Grm(n=int(n), lower_triangle=tri.astype(np.float64), m_effective=int(m_eff))
+        tri = np.fromfile(fh, dtype="<f8", count=expected)
+    return Grm(
+        n=int(n), lower_triangle=tri.astype(np.float64, copy=False), m_effective=int(m_eff)
+    )

@@ -27,7 +27,7 @@ from .errors import (
     read_csv,
     write_csv,
 )
-from .estimators import egger, ivw, simple_median, tsls, weighted_median
+from .estimators import Estimate, egger, ivw, simple_median, tsls, weighted_median
 from .genotype import (
     GenotypeMatrix,
     Grm,
@@ -192,21 +192,19 @@ _SUMMARY_METHODS = {
 }
 
 
-def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None):
-    """Run one checked (method, selection) pair; returns (theta_hat, se, m_used).
+def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None) -> Estimate:
+    """Run one checked (method, selection) pair.
 
     grm, when given, is the all-variant GRM of std; tsre on 'all' uses it
     instead of building its own.
     """
     if tag in _SUMMARY_METHODS:
-        est = _SUMMARY_METHODS[tag](apply_selection(summaries, selection), rng_for)
-        return est.theta_hat, est.se, est.n_iv
+        return _SUMMARY_METHODS[tag](apply_selection(summaries, selection), rng_for)
     cols = _select(summaries, selection)
     if tag == "tsls":
         # A column copy even for 'all': the copy is Fortran-ordered, and 2SLS on
         # the C-ordered std.values differs in the last bits.
-        est = tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
-        return est.theta_hat, est.se, est.n_iv
+        return tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
     if cols is not None:
         grm = compute_grm(
             StandardizedGenotypes(
@@ -216,15 +214,14 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None =
         )
     elif grm is None:
         grm = compute_grm(std)
-    fit = tsre_estimate(grm, x, y)
-    return fit.theta_hat, fit.se, fit.m
+    return tsre_estimate(grm, x, y)
 
 
 def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
     Returns a list aligned with the (method, selection) jobs; entries are
-    (theta_hat, se, m_used) or None for a failed estimator.
+    (theta_hat, se) or None for a failed estimator.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
@@ -243,7 +240,8 @@ def _replicate_outcomes(args):
     out = []
     for tag, selection in jobs:
         try:
-            out.append(_run_method(tag, selection, std, summaries, pheno.x, pheno.y, rng_for))
+            est = _run_method(tag, selection, std, summaries, pheno.x, pheno.y, rng_for)
+            out.append((est.theta_hat, est.se))
         except TsreError:
             out.append(None)
     return out
@@ -497,7 +495,9 @@ _LONG_TARGETS = {"fig3", "fig4"}
 
 
 def builtin_rows(target: str, config: ScenarioConfig | None = None):
-    """Row definitions (row_id, config, jobs) for a replication target."""
+    """Row definitions (row_id, config, jobs) for a replication target.
+
+    Only the custom target takes a scenario config, and it requires one."""
     if target == "custom":
         if config is None:
             raise ConfigError("the custom target requires a scenario config")
@@ -507,6 +507,8 @@ def builtin_rows(target: str, config: ScenarioConfig | None = None):
             f"unknown target {target!r}; choose from "
             f"{', '.join(sorted(TARGETS))}, custom"
         )
+    if config is not None:
+        raise ConfigError(f"a scenario config only applies to the custom target, not {target!r}")
     return TARGETS[target]()
 
 
@@ -710,7 +712,7 @@ def estimate_real(
         raise EstimationError(f"only {gm.n} individuals remain after filtering")
 
     summaries = per_variant_regression(std, x, y)
-    theta, se, m_used = _run_method(
+    est = _run_method(
         method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0), grm
     )
-    return RealDataResult(method, theta, se, gm.n, m_used)
+    return RealDataResult(method, est.theta_hat, est.se, gm.n, est.n_iv)

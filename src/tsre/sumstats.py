@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, EstimationError, finite_float, read_csv, write_csv
+from .errors import DataError, EstimationError, centre_traits, finite_float, read_csv, write_csv
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -54,20 +54,13 @@ def per_variant_regression(
     n = std.n
     if n < 3:
         raise EstimationError("per-variant regression needs at least 3 individuals")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (n,) or y.shape != (n,):
-        raise DataError("trait vectors must match the number of individuals")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc, yc = centre_traits(n, x, y)
     gram = np.einsum("ij,ij->j", std.values, std.values)
     gx, se_x = _marginal(std.values, gram, xc, n)
     gy, se_y = _marginal(std.values, gram, yc, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.abs(gx) / se_x
     p_x = 2.0 * stdtr(n - 2, -tstat)
-    # se 0 with slope 0 means a constant trait: no evidence either way.
-    p_x = np.where(np.isnan(tstat), 1.0, p_x)
     return [
         VariantSummary(
             variant_id=vid,

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_standardized
+from conftest import packed_to_dense, random_standardized
 
 from tsre.engine import moment_diagnostic, tsre_estimate
 from tsre.estimators import ivw, simple_median, weighted_median
@@ -245,7 +245,7 @@ def test_estimator_matches_pair_enumeration():
         m = int(rng.integers(2, 21))
         std = random_standardized(rng, n, m)
         grm = compute_grm(std)
-        dense = grm.to_dense()
+        dense = packed_to_dense(grm.lower_triangle, n)
         x = rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
         for mode in ("covariance", "raw"):
@@ -265,7 +265,7 @@ def test_grm_matches_triple_loop_and_trace():
         n = int(rng.integers(3, 51))
         m = int(rng.integers(2, 21))
         std = random_standardized(rng, n, m)
-        dense = compute_grm(std).to_dense()
+        dense = packed_to_dense(compute_grm(std).lower_triangle, n)
         z = std.values
         oracle = np.zeros((n, n))
         for i in range(n):

@@ -153,15 +153,21 @@ class TestEstimateCommand:
         assert main(argv) == 3
 
     def test_constant_exposure_exits_four(self, dataset, tmp_path, capsys):
-        flat = tmp_path / "flat.csv"
+        # 0.1 has no exact mean, so centring it leaves a residue of ~1e-17
         ids = [
             line.split(",")[0]
             for line in (dataset / "exposure.csv").read_text().splitlines()[1:]
         ]
-        flat.write_text("id,value\n" + "".join(f"{i},1.0\n" for i in ids))
-        argv = self._argv(dataset, "tsre")
-        argv[argv.index("--exposure") + 1] = str(flat)
-        assert main(argv) == 4
+        for trait, value in (("exposure", "1.0"), ("exposure", "0.1"), ("outcome", "0.1")):
+            flat = tmp_path / f"flat_{trait}_{value}.csv"
+            flat.write_text("id,value\n" + "".join(f"{i},{value}\n" for i in ids))
+            for method in ("tsre", "ivw", "ivw_fe", "egger", "sm", "wm", "tsls"):
+                argv = self._argv(dataset, method)
+                argv[argv.index(f"--{trait}") + 1] = str(flat)
+                assert main(argv) == 4, (trait, value, method)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: no signal: the {trait} does not vary\n"
 
     def test_nan_exposure_exits_three(self, dataset, tmp_path, capsys):
         lines = (dataset / "exposure.csv").read_text().splitlines()

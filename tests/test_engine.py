@@ -146,7 +146,7 @@ class TestTsreEstimate:
         fit = tsre_estimate(_grm_from_dense(a), x, y, centering=mode)
         theta = _oracle_theta(a, x, y, mode)
         np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-10)
-        assert fit.m == 3
+        assert fit.n_iv == 3
 
     @pytest.mark.parametrize("mode", ["covariance", "raw"])
     def test_exact_recovery_under_proportional_outcome(self, mode):
@@ -194,7 +194,7 @@ class TestTsreEstimate:
 
     def test_constant_exposure_trips_guard(self):
         a, _, y = _random_problem(16, n=8)
-        with pytest.raises(EstimationError, match="weak genetic signal"):
+        with pytest.raises(EstimationError, match="no signal: the exposure does not vary"):
             tsre_estimate(_grm_from_dense(a), np.full(8, 2.0), y)
 
     def test_zero_grm_trips_guard(self):

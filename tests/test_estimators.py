@@ -88,6 +88,17 @@ class TestTsls:
         with pytest.raises(EstimationError, match="singular|signal"):
             tsls(g, np.arange(10.0), np.arange(10.0))
 
+    def test_bad_traits_rejected(self, rng):
+        g = random_standardized(rng, 20, 2).values
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        with pytest.raises(DataError, match="length mismatch"):
+            tsls(g, x[:-1], y)
+        for bad in (np.nan, np.inf):
+            xb = x.copy()
+            xb[5] = bad
+            with pytest.raises(DataError, match="finite"):
+                tsls(g, xb, y)
+
     def test_more_instruments_than_individuals(self):
         g = np.ones((3, 5))
         with pytest.raises(DataError):

@@ -32,6 +32,8 @@ from tsre.harness import (
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
 from tsre.sumstats import VariantSummary, per_variant_regression
 
+from conftest import packed_to_dense
+
 DEFAULT_JOBS = [(tag, default_selection(tag)) for tag in DEFAULT_METHODS]
 
 
@@ -234,6 +236,12 @@ class TestReproduceTable:
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
         assert open(a[1], "rb").read() == open(b[1], "rb").read()
 
+    def test_builtin_target_rejects_config(self, tmp_path):
+        out = tmp_path / "rep"
+        with pytest.raises(ConfigError, match="custom target"):
+            reproduce_table("table2", out, reps=1, config=_tiny_cfg())
+        assert not out.exists()
+
 
 class TestPhenotypeIO:
     @pytest.mark.parametrize(
@@ -385,7 +393,7 @@ class TestEstimateReal:
         dup_path = tmp_path / "dup.csv"
         save_genotypes(dup, dup_path)
         # pick a cutoff that separates the duplicated pair from the background
-        dense = compute_grm(standardize(dup)).to_dense()
+        dense = packed_to_dense(compute_grm(standardize(dup)).lower_triangle, dup.n)
         pair = dense[1, 0]
         off = np.abs(dense[np.tril_indices(dup.n, k=-1)])
         background = np.sort(off)[-2]  # largest entry besides the duplicate

@@ -6,14 +6,16 @@ import pytest
 from tsre import kernels
 from tsre.genotype import compute_grm, simulate_genotypes, standardize
 
-from conftest import dense_to_packed
+from conftest import dense_to_packed, packed_to_dense
 
 # (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
 # GRM of m simulated variants.  With m >> n that GRM is diagonal-dominant
 # (off-diagonal entries ~ 1/sqrt(m) against a unit diagonal), as in the
 # many-null-variant regime, so the pair sums are small differences of
-# whole-triangle and diagonal terms.  conftest.random_grm does not serve
-# here: it pins two rows to dosages 0 and 2, so A_01 is about -1.5.
+# whole-triangle and diagonal terms.  The GRMs come from simulate_genotypes,
+# the sampler the replicates use, so they have the allele frequencies
+# (0.2-0.3) of the simulated rows; conftest.random_grm draws dosages 0, 1, 2
+# uniformly instead.
 CASES = [
     (2, 0, None),
     (3, 1, None),
@@ -35,7 +37,7 @@ def _random_instance(n, seed, m):
         tri = np.ascontiguousarray(dense_to_packed(a))
     else:
         grm = compute_grm(standardize(simulate_genotypes(n, m, 0.2, 0.3, rng)))
-        a = grm.to_dense()
+        a = packed_to_dense(grm.lower_triangle, n)
         tri = grm.lower_triangle
     x = rng.normal(size=n)
     y = rng.normal(size=n)

@@ -51,12 +51,13 @@ class TestPerVariantRegression:
         summ = per_variant_regression(std, rng.normal(size=20), rng.normal(size=20))
         assert [s.variant_id for s in summ] == std.variant_ids
 
-    def test_constant_trait_gets_p_one(self, rng):
+    def test_constant_trait_rejected(self, rng):
         std = random_standardized(rng, 20, 3)
-        x = np.zeros(20)
-        summ = per_variant_regression(std, x, rng.normal(size=20))
-        assert all(s.p_x == 1.0 for s in summ)
-        assert all(s.gamma_x == 0.0 for s in summ)
+        for flat in (np.zeros(20), np.full(20, 0.1)):
+            with pytest.raises(EstimationError, match="exposure does not vary"):
+                per_variant_regression(std, flat, rng.normal(size=20))
+            with pytest.raises(EstimationError, match="outcome does not vary"):
+                per_variant_regression(std, rng.normal(size=20), flat)
 
     def test_too_few_individuals(self, rng):
         std = random_standardized(rng, 20, 3)
@@ -66,8 +67,15 @@ class TestPerVariantRegression:
 
     def test_shape_mismatch(self, rng):
         std = random_standardized(rng, 20, 3)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="length mismatch"):
             per_variant_regression(std, np.zeros(19), np.zeros(20))
+        for bad in (np.nan, np.inf):
+            x = rng.normal(size=20)
+            x[3] = bad
+            with pytest.raises(DataError, match="finite"):
+                per_variant_regression(std, x, rng.normal(size=20))
+            with pytest.raises(DataError, match="finite"):
+                per_variant_regression(std, rng.normal(size=20), x)
 
 
 def _summary(vid, p, gx=1.0):

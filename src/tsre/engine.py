@@ -51,7 +51,6 @@ class PairMoments:
     s_xx: float
     s_xy: float
     s_xx2: float
-    n: int
     n_pairs: int
 
 
@@ -73,7 +72,6 @@ def pair_moments(a: Grm, x, y) -> PairMoments:
     sx2 = float(x @ x)
     sy_x = float(x @ y)
     sx4 = float(np.sum(x**4))
-    n = a.n
     return PairMoments(
         s_axx=s_axx,
         s_axy=s_axy,
@@ -82,32 +80,8 @@ def pair_moments(a: Grm, x, y) -> PairMoments:
         s_xx=(sx * sx - sx2) / 2.0,
         s_xy=(sx * sy - sy_x) / 2.0,
         s_xx2=(sx2 * sx2 - sx4) / 2.0,
-        n=n,
-        n_pairs=n * (n - 1) // 2,
+        n_pairs=a.n * (a.n - 1) // 2,
     )
-
-
-def _slopes(pm: PairMoments, mode: str) -> tuple[float, float, float, float]:
-    """Return (numerator, denominator, GRM spread, exposure-pair spread).
-
-    The numerator/denominator are the pair sums whose ratio is theta_hat;
-    the two spreads are the matching sums of squares of the GRM entries and
-    of the exposure pair products, used by the weak-signal guard.
-    """
-    if mode == "covariance":
-        npairs = pm.n_pairs
-        den = pm.s_axx - pm.s_a * pm.s_xx / npairs
-        num = pm.s_axy - pm.s_a * pm.s_xy / npairs
-        scale = pm.s_aa - pm.s_a**2 / npairs
-        spread = pm.s_xx2 - pm.s_xx**2 / npairs
-    elif mode == "raw":
-        den = pm.s_axx
-        num = pm.s_axy
-        scale = pm.s_aa
-        spread = pm.s_xx2
-    else:
-        raise DataError(f"unknown centering mode {mode!r}")
-    return num, den, scale, spread
 
 
 def _guard_denominator(den: float, scale: float, spread: float):
@@ -119,20 +93,24 @@ def _guard_denominator(den: float, scale: float, spread: float):
         )
 
 
-def tsre_estimate(a: Grm, x, y, centering: str = "covariance") -> Estimate:
+def tsre_estimate(a: Grm, x, y) -> Estimate:
     """Fit the slope-ratio estimator on a GRM and phenotype pair.
 
-    Both traits are mean-centered internally.  In "covariance" mode (the
-    default) theta_hat is the ratio of the pair covariances of A with the
-    cross and exposure products; "raw" mode uses uncentered pair sums, the
-    normal-equation form.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in
-    asymptotic variance scale; n_iv is the number of variants behind the GRM.
+    Both traits are mean-centered internally.  theta_hat is the ratio of the
+    pair covariances of A with the cross and exposure products.
+    se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic variance
+    scale; n_iv is the number of variants behind the GRM.
     """
     if a.n < 3:
         raise DataError(f"need at least 3 individuals, got {a.n}")
     xc, yc = centre_traits(a.n, x, y)
     pm = pair_moments(a, xc, yc)
-    num, den, scale, spread = _slopes(pm, centering)
+    npairs = pm.n_pairs
+    den = pm.s_axx - pm.s_a * pm.s_xx / npairs
+    num = pm.s_axy - pm.s_a * pm.s_xy / npairs
+    # spreads of the GRM entries and of the exposure pair products
+    scale = pm.s_aa - pm.s_a**2 / npairs
+    spread = pm.s_xx2 - pm.s_xx**2 / npairs
     _guard_denominator(den, scale, spread)
     if scale <= 0:
         raise EstimationError("degenerate GRM: pair entries have no spread")
@@ -154,30 +132,22 @@ def _plugin_se(pm, den, theta, xc, yc, m) -> float:
     return math.sqrt(tau2 / pm.n_pairs)
 
 
-def moment_diagnostic(
-    a: Grm, x, y, theta: float, centering: str = "covariance"
-) -> tuple[float, float]:
+def moment_diagnostic(a: Grm, x, y, theta: float) -> tuple[float, float]:
     """Specification test of the pair moment condition at a candidate theta.
 
     Returns (mean, z) where mean is the average over pairs of the product of
-    the (optionally centered) GRM entry and the pair residual
+    the centered GRM entry and the centered pair residual
     e_ij = (X_i Y_j + Y_i X_j)/2 - theta * X_i X_j, and z is mean divided by
-    the pair-sample standard error.  At the covariance-mode theta_hat the
-    mean vanishes identically (the estimator's normal equation).
+    the pair-sample standard error.  At theta_hat of tsre_estimate the mean
+    vanishes identically (the estimator's normal equation).
     """
     if a.n < 2:
         raise DataError(f"need at least 2 individuals, got {a.n}")
     xc, yc = centre_traits(a.n, x, y)
     pm = pair_moments(a, xc, yc)
     npairs = pm.n_pairs
-    if centering == "covariance":
-        a_bar = pm.s_a / npairs
-        e_bar = (pm.s_xy - theta * pm.s_xx) / npairs
-    elif centering == "raw":
-        a_bar = 0.0
-        e_bar = 0.0
-    else:
-        raise DataError(f"unknown centering mode {centering!r}")
+    a_bar = pm.s_a / npairs
+    e_bar = (pm.s_xy - theta * pm.s_xx) / npairs
     s_t, s_tt = kernels.diag_sums(
         a.lower_triangle, a.n, xc, yc, float(theta), a_bar, e_bar
     )

@@ -114,13 +114,25 @@ def centre_traits(n: int, x, y) -> tuple[np.ndarray, np.ndarray]:
 
     A trait that holds one value throughout is an EstimationError: its
     centred values would be rounding residue (about 1e-17 for 0.1 repeated),
-    which every estimator would read as signal.
+    which every estimator would read as signal.  So is a trait whose
+    variance lies outside [2^-200, 2^200]: the pair sums hold its fourth
+    powers, which would underflow or overflow on the way to theta_hat and se.
     """
     x, y = check_traits(n, x, y)
+    centred = []
     for name, v in (("exposure", x), ("outcome", y)):
         if v.min() == v.max():
             raise EstimationError(f"no signal: the {name} does not vary")
-    return x - x.mean(), y - y.mean()
+        # an overflow leaves var inf or NaN, which the range check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = v - v.mean()
+            var = float(c @ c) / n
+        if not 2.0**-200 <= var <= 2.0**200:
+            raise EstimationError(
+                f"the {name} has variance {var:.3e}, outside [2^-200, 2^200]; rescale it"
+            )
+        centred.append(c)
+    return centred[0], centred[1]
 
 
 def write_csv(fh, header, rows) -> None:

@@ -25,12 +25,15 @@ __all__ = [
     "weighted_median",
 ]
 
+# Parametric bootstrap draws behind the median estimators' standard errors.
+N_BOOT = 1000
+
 
 @dataclass
 class Estimate:
     """One estimator's output.
 
-    method is one of: ratio, tsls, ivw_fe, ivw_re, egger, simple_median,
+    method is one of: tsls, ivw_fe, ivw_re, egger, simple_median,
     weighted_median, tsre.  intercept is the Egger intercept and
     overdispersion the fitted inflation factor; both are None where the
     method has no such concept.
@@ -198,9 +201,9 @@ def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.where(0.5 >= p[:, -1], r[:, -1], out)
 
 
-def _bootstrap_se(point_fn, gx, se_x, gy, se_y, n_boot, rng) -> float:
-    zx = rng.standard_normal((n_boot, gx.size))
-    zy = rng.standard_normal((n_boot, gx.size))
+def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
+    zx = rng.standard_normal((N_BOOT, gx.size))
+    zy = rng.standard_normal((N_BOOT, gx.size))
     bx = gx + se_x * zx
     by = gy + se_y * zy
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,26 +212,22 @@ def _bootstrap_se(point_fn, gx, se_x, gy, se_y, n_boot, rng) -> float:
     return float(np.std(est, ddof=1))
 
 
-def simple_median(
-    summaries: list[VariantSummary], n_boot: int = 1000, rng=None
-) -> Estimate:
+def simple_median(summaries: list[VariantSummary], rng=None) -> Estimate:
     """Median of the per-variant ratio estimates.
 
     Variants with a zero exposure effect carry no ratio information and are
-    dropped.  The standard error is the sd over n_boot parametric bootstrap
+    dropped.  The standard error is the sd over N_BOOT parametric bootstrap
     replicates in which every gamma is redrawn from N(gamma, se^2).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     gx, se_x, gy, se_y = _ratio_inputs(summaries)
     theta = float(np.median(gy / gx))
-    se = _bootstrap_se(lambda r: np.median(r, axis=1), gx, se_x, gy, se_y, n_boot, rng)
+    se = _bootstrap_se(lambda r: np.median(r, axis=1), gx, se_x, gy, se_y, rng)
     return Estimate(method="simple_median", theta_hat=theta, se=se, n_iv=gx.size)
 
 
-def weighted_median(
-    summaries: list[VariantSummary], n_boot: int = 1000, rng=None
-) -> Estimate:
+def weighted_median(summaries: list[VariantSummary], rng=None) -> Estimate:
     """Interpolated 50th weighted percentile of the ratio estimates.
 
     Weights are gamma_x^2 / se_y^2.  Ratios are sorted, cumulative weights
@@ -242,7 +241,5 @@ def weighted_median(
         raise EstimationError("degenerate weights: an outcome standard error is zero")
     weights = gx * gx / (se_y * se_y)
     theta = float(_weighted_median((gy / gx)[None, :], weights)[0])
-    se = _bootstrap_se(
-        lambda r: _weighted_median(r, weights), gx, se_x, gy, se_y, n_boot, rng
-    )
+    se = _bootstrap_se(lambda r: _weighted_median(r, weights), gx, se_x, gy, se_y, rng)
     return Estimate(method="weighted_median", theta_hat=theta, se=se, n_iv=gx.size)

@@ -39,15 +39,10 @@ _DOSAGES = frozenset("012")
 
 @dataclass
 class GenotypeMatrix:
-    """Raw dosages plus variant bookkeeping.
-
-    maf holds the generating allele frequencies for simulated data and is
-    None for data loaded from disk.
-    """
+    """Raw dosages plus variant bookkeeping."""
 
     dosages: np.ndarray
     variant_ids: list[str]
-    maf: np.ndarray | None = None
     individual_ids: list[str] | None = None
 
     def __post_init__(self):
@@ -117,7 +112,7 @@ def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> 
     dosages = rng.binomial(2, maf, size=(n, m)).astype(np.int8)
     width = max(5, len(str(m)))
     ids = [f"v{k:0{width}d}" for k in range(1, m + 1)]
-    return GenotypeMatrix(dosages=dosages, variant_ids=ids, maf=maf)
+    return GenotypeMatrix(dosages=dosages, variant_ids=ids)
 
 
 def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:

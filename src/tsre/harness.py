@@ -55,7 +55,6 @@ __all__ = [
     "METHOD_TAGS",
     "TARGETS",
     "parse_selection",
-    "apply_selection",
     "run_scenario",
     "reproduce_table",
     "estimate_real",
@@ -160,21 +159,18 @@ def _select(summaries: list[VariantSummary], selection: str) -> list[int] | None
     """Indices picked by a selection, or None for 'all'.
 
     Summaries come in standardized column order, so the indices are also
-    the genotype columns of the picked variants.
+    the genotype columns of the picked variants.  A p-value threshold that
+    keeps no variant is an EstimationError.
     """
     kind, value = parse_selection(selection)
     if kind == "all":
         return None
     if kind == "top":
         return select_top_k(summaries, int(value))
-    return select_by_pvalue(summaries, float(value))
-
-
-def apply_selection(
-    summaries: list[VariantSummary], selection: str
-) -> list[VariantSummary]:
-    cols = _select(summaries, selection)
-    return summaries if cols is None else [summaries[i] for i in cols]
+    cols = select_by_pvalue(summaries, float(value))
+    if not cols:
+        raise EstimationError(f"selection {selection!r} keeps no variants")
+    return cols
 
 
 def default_selection(tag: str) -> str:
@@ -198,9 +194,10 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None =
     grm, when given, is the all-variant GRM of std; tsre on 'all' uses it
     instead of building its own.
     """
-    if tag in _SUMMARY_METHODS:
-        return _SUMMARY_METHODS[tag](apply_selection(summaries, selection), rng_for)
     cols = _select(summaries, selection)
+    if tag in _SUMMARY_METHODS:
+        selected = summaries if cols is None else [summaries[i] for i in cols]
+        return _SUMMARY_METHODS[tag](selected, rng_for)
     if tag == "tsls":
         # A column copy even for 'all': the copy is Fortran-ordered, and 2SLS on
         # the C-ordered std.values differs in the last bits.
@@ -639,7 +636,6 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     return GenotypeMatrix(
         dosages=np.ascontiguousarray(gm.dosages[rows]),
         variant_ids=list(gm.variant_ids),
-        maf=gm.maf,
         individual_ids=list(ids),
     )
 

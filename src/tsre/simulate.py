@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,8 +115,6 @@ class EffectSet:
     alpha_c: np.ndarray
     alpha_d: np.ndarray
     group_layout: dict[str, tuple[int, int]]
-    strong_b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    strong_c: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -152,8 +150,6 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
     )
     alpha_d = rng.normal(cfg.mu_gd, cfg.sigma_gd, size=cfg.m_d)
 
-    strong_b = np.empty(0, dtype=np.int64)
-    strong_c = np.empty(0, dtype=np.int64)
     if cfg.p_strong > 0:
         if "b" in cfg.strong_groups and cfg.m_b > 0:
             k = int(cfg.p_strong * cfg.m_b)
@@ -170,8 +166,6 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
         alpha_c=alpha_c,
         alpha_d=alpha_d,
         group_layout=group_layout(cfg),
-        strong_b=strong_b,
-        strong_c=strong_c,
     )
 
 

@@ -215,7 +215,7 @@ def test_closed_form_bias_matches_monte_carlo():
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_theta(dense, x, y, mode):
+def _enumerated_theta(dense, x, y):
     """Independent double-loop re-derivation of the pair-regression slope."""
     n = len(x)
     xc = x - x.mean()
@@ -232,9 +232,7 @@ def _enumerated_theta(dense, x, y, mode):
             s_xx += xx
             s_xy += xy
     npairs = n * (n - 1) // 2
-    if mode == "covariance":
-        return (s_axy - s_a * s_xy / npairs) / (s_axx - s_a * s_xx / npairs)
-    return s_axy / s_axx
+    return (s_axy - s_a * s_xy / npairs) / (s_axx - s_a * s_xx / npairs)
 
 
 def test_estimator_matches_pair_enumeration():
@@ -248,13 +246,12 @@ def test_estimator_matches_pair_enumeration():
         dense = packed_to_dense(grm.lower_triangle, n)
         x = rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
-        for mode in ("covariance", "raw"):
-            got = tsre_estimate(grm, x, y, centering=mode).theta_hat
-            want = _enumerated_theta(dense, x, y, mode)
-            worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+        got = tsre_estimate(grm, x, y).theta_hat
+        want = _enumerated_theta(dense, x, y)
+        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     ok = worst < 1e-10
     _report(ok, "pair-enumeration oracle over 200 random instances",
-            f"worst relative error {worst:.2e} < 1e-10 (both centering modes)")
+            f"worst relative error {worst:.2e} < 1e-10")
 
 
 def test_grm_matches_triple_loop_and_trace():
@@ -306,11 +303,8 @@ def test_noise_free_recovery_and_single_instrument_ratio():
     x = std.values @ beta + rng.normal(size=120)
     y = 0.37 * x
     grm = compute_grm(std)
-    errs = [
-        abs(tsre_estimate(grm, x, y, centering=mode).theta_hat - 0.37)
-        for mode in ("covariance", "raw")
-    ]
-    ok = max(errs) < 1e-10
+    err = abs(tsre_estimate(grm, x, y).theta_hat - 0.37)
+    ok = err < 1e-10
 
     exact = True
     for trial in range(10):
@@ -334,7 +328,7 @@ def test_noise_free_recovery_and_single_instrument_ratio():
     _report(
         ok,
         "noise-free recovery and single-instrument reduction",
-        f"max |theta - 0.37| {max(errs):.2e} < 1e-10 (both modes); "
+        f"|theta - 0.37| {err:.2e} < 1e-10; "
         f"summary estimators equal gamma_y/gamma_x bitwise: {exact}",
     )
 

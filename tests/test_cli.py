@@ -1,10 +1,15 @@
 """Command line interface: round trips, output formats, and exit codes."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from tsre.cli import main
 from tsre.genotype import load_grm
+
+METHODS = ("tsre", "ivw", "ivw_fe", "egger", "sm", "wm", "tsls")
 
 SCENARIO = """
 n = 120
@@ -104,7 +109,7 @@ class TestEstimateCommand:
             *extra,
         ]
 
-    @pytest.mark.parametrize("method", ["tsre", "ivw", "ivw_fe", "egger", "sm", "wm", "tsls"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_each_method_emits_csv(self, dataset, capsys, method):
         rc = main(self._argv(dataset, method))
         assert rc == 0
@@ -161,13 +166,58 @@ class TestEstimateCommand:
         for trait, value in (("exposure", "1.0"), ("exposure", "0.1"), ("outcome", "0.1")):
             flat = tmp_path / f"flat_{trait}_{value}.csv"
             flat.write_text("id,value\n" + "".join(f"{i},{value}\n" for i in ids))
-            for method in ("tsre", "ivw", "ivw_fe", "egger", "sm", "wm", "tsls"):
+            for method in METHODS:
                 argv = self._argv(dataset, method)
                 argv[argv.index(f"--{trait}") + 1] = str(flat)
                 assert main(argv) == 4, (trait, value, method)
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err == f"error: no signal: the {trait} does not vary\n"
+
+    @pytest.mark.parametrize("trait", ["exposure", "outcome"])
+    def test_trait_scale_exits_four_or_scales_exactly(self, dataset, tmp_path, capsys, trait):
+        # Scaling a trait by 2^k scales every theta_hat and se by 2^-k
+        # (exposure) or 2^k (outcome) without rounding, as long as the
+        # trait's variance stays in [2^-200, 2^200]; outside it every method
+        # exits 4.  An exception escaping main fails the test.
+        lines = (dataset / f"{trait}.csv").read_text().splitlines()
+        base = {}
+        for method in METHODS:
+            assert main(self._argv(dataset, method)) == 0
+            cells = capsys.readouterr().out.splitlines()[1].split(",")
+            base[method] = (float(cells[1]), float(cells[2]))
+        sign = -1 if trait == "exposure" else 1
+        refused = re.compile(
+            rf"error: the {trait} has variance \S+, outside \[2\^-200, 2\^200\]; rescale it\n"
+        )
+        for k in (-520, -400, -120, 0, 80, 120, 400, 1000):
+            scaled = tmp_path / f"{trait}_{k}.csv"
+            rows = (line.split(",") for line in lines[1:])
+            scaled.write_text(
+                lines[0] + "\n" + "".join(f"{i},{float(v) * 2.0**k!r}\n" for i, v in rows)
+            )
+            for method in METHODS:
+                argv = self._argv(dataset, method)
+                argv[argv.index(f"--{trait}") + 1] = str(scaled)
+                rc = main(argv)
+                captured = capsys.readouterr()
+                if abs(k) >= 120:
+                    assert rc == 4, (k, method)
+                    assert captured.out == ""
+                    assert refused.fullmatch(captured.err), (k, method, captured.err)
+                else:
+                    assert rc == 0, (k, method)
+                    cells = captured.out.splitlines()[1].split(",")
+                    theta, se = base[method]
+                    assert float(cells[1]) == math.ldexp(theta, sign * k), (k, method)
+                    assert float(cells[2]) == math.ldexp(se, sign * k), (k, method)
+
+    def test_empty_selection_exits_four(self, dataset, capsys):
+        for method in METHODS:
+            assert main(self._argv(dataset, method, "--select", "pval:1e-300")) == 4, method
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: selection 'pval:1e-300' keeps no variants\n"
 
     def test_nan_exposure_exits_three(self, dataset, tmp_path, capsys):
         lines = (dataset / "exposure.csv").read_text().splitlines()

@@ -52,16 +52,12 @@ def _pair_table(a, x, y):
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
-def _oracle_theta(a, x, y, mode):
+def _oracle_theta(a, x, y):
     xc = x - x.mean()
     yc = y - y.mean()
     av, pv, qv = _pair_table(a, xc, yc)
-    if mode == "covariance":
-        num = np.sum((av - av.mean()) * (qv - qv.mean()))
-        den = np.sum((av - av.mean()) * (pv - pv.mean()))
-    else:
-        num = np.sum(av * qv)
-        den = np.sum(av * pv)
+    num = np.sum((av - av.mean()) * (qv - qv.mean()))
+    den = np.sum((av - av.mean()) * (pv - pv.mean()))
     return num / den
 
 
@@ -139,23 +135,21 @@ class TestPairMoments:
 
 
 class TestTsreEstimate:
-    @pytest.mark.parametrize("mode", ["covariance", "raw"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_enumeration_oracle(self, seed, mode):
+    def test_matches_enumeration_oracle(self, seed):
         a, x, y = _random_problem(seed)
-        fit = tsre_estimate(_grm_from_dense(a), x, y, centering=mode)
-        theta = _oracle_theta(a, x, y, mode)
+        fit = tsre_estimate(_grm_from_dense(a), x, y)
+        theta = _oracle_theta(a, x, y)
         np.testing.assert_allclose(fit.theta_hat, theta, rtol=1e-10)
         assert fit.n_iv == 3
 
-    @pytest.mark.parametrize("mode", ["covariance", "raw"])
-    def test_exact_recovery_under_proportional_outcome(self, mode):
+    def test_exact_recovery_under_proportional_outcome(self):
         rng = np.random.default_rng(42)
         std = random_standardized(rng, 25, 6)
         grm = compute_grm(std)
         x = std.values @ rng.normal(0, 0.5, size=6) + rng.normal(size=25)
         y = 0.37 * x + 1.5  # constant offset removed by internal centering
-        fit = tsre_estimate(grm, x, y, centering=mode)
+        fit = tsre_estimate(grm, x, y)
         assert abs(fit.theta_hat - 0.37) < 1e-10
 
     def test_translation_invariance_covariance_mode(self):
@@ -216,11 +210,6 @@ class TestTsreEstimate:
         with pytest.raises(DataError):
             tsre_estimate(_grm_from_dense(a), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
-    def test_unknown_mode_rejected(self):
-        a, x, y = _random_problem(18, n=5)
-        with pytest.raises(DataError):
-            tsre_estimate(_grm_from_dense(a), x, y, centering="bogus")
-
     def test_permutation_invariance(self):
         a, x, y = _random_problem(19, n=12)
         perm = np.random.default_rng(3).permutation(12)
@@ -233,12 +222,11 @@ class TestTsreEstimate:
 
 
 class TestMomentDiagnostic:
-    @pytest.mark.parametrize("mode", ["covariance", "raw"])
-    def test_vanishes_at_own_theta_hat(self, mode):
+    def test_vanishes_at_own_theta_hat(self):
         a, x, y = _random_problem(20)
         grm = _grm_from_dense(a)
-        fit = tsre_estimate(grm, x, y, centering=mode)
-        mean, _ = moment_diagnostic(grm, x, y, fit.theta_hat, centering=mode)
+        fit = tsre_estimate(grm, x, y)
+        mean, _ = moment_diagnostic(grm, x, y, fit.theta_hat)
         assert abs(mean) < 1e-12
 
     def test_nonzero_away_from_theta_hat(self):
@@ -262,17 +250,6 @@ class TestMomentDiagnostic:
         np.testing.assert_allclose(mean, tv.mean(), rtol=1e-10, atol=1e-14)
         want_z = tv.mean() / np.sqrt(np.var(tv, ddof=1) / tv.size)
         np.testing.assert_allclose(z, want_z, rtol=1e-10)
-
-    def test_raw_mode_oracle(self):
-        a, x, y = _random_problem(23, n=9)
-        grm = _grm_from_dense(a)
-        theta = -0.4
-        mean, _ = moment_diagnostic(grm, x, y, theta, centering="raw")
-        xc = x - x.mean()
-        yc = y - y.mean()
-        av, pv, qv = _pair_table(a, xc, yc)
-        tv = av * (qv - theta * pv)
-        np.testing.assert_allclose(mean, tv.mean(), rtol=1e-10)
 
     def test_two_individuals_single_pair(self):
         # one pair only: variance over pairs is undefined, z degrades to 0
@@ -346,7 +323,7 @@ def test_property_diagnostic_vanishes_at_fit(problem):
     except EstimationError:
         return
     mean, _ = moment_diagnostic(grm, x, y, fit.theta_hat)
-    # the cross-pair slope of the covariance-mode fit scales the bound
+    # the cross-pair slope of the fit scales the bound
     pm = pair_moments(grm, x - x.mean(), y - y.mean())
     delta = (pm.s_axy - pm.s_a * pm.s_xy / pm.n_pairs) / (pm.s_aa - pm.s_a**2 / pm.n_pairs)
     # normal equation: the centered moment at theta_hat is identically zero

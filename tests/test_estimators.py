@@ -276,34 +276,34 @@ class TestMedianEstimators:
     def test_simple_median_point_estimate(self):
         gx = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
         gy = np.array([0.1, 0.2, 0.3, 0.9, 1.5])
-        est = simple_median(_summ(gx, gy), n_boot=50)
+        est = simple_median(_summ(gx, gy))
         assert est.theta_hat == 0.3
 
     def test_zero_exposure_effects_dropped(self):
         gx = np.array([0.0, 1.0, 1.0, 1.0])
         gy = np.array([9.9, 0.2, 0.3, 0.4])
-        est = simple_median(_summ(gx, gy), n_boot=50)
+        est = simple_median(_summ(gx, gy))
         assert est.theta_hat == 0.3
         assert est.n_iv == 3
 
     def test_all_zero_exposure_rejected(self):
         with pytest.raises(EstimationError):
-            simple_median(_summ([0.0, 0.0], [0.1, 0.2]), n_boot=10)
+            simple_median(_summ([0.0, 0.0], [0.1, 0.2]))
 
     def test_weighted_median_reduces_to_simple_under_equal_weights(self, rng):
         k = 9
         gx = np.full(k, 0.5)
         gy = rng.normal(0.15, 0.05, size=k)
-        sm = simple_median(_summ(gx, gy), n_boot=10)
-        wm = weighted_median(_summ(gx, gy), n_boot=10)
+        sm = simple_median(_summ(gx, gy))
+        wm = weighted_median(_summ(gx, gy))
         assert abs(sm.theta_hat - wm.theta_hat) < 1e-12
 
     def test_bootstrap_se_deterministic_given_rng(self):
         gx = np.array([0.5, 0.6, 0.4, 0.55])
         gy = np.array([0.15, 0.20, 0.10, 0.18])
-        a = simple_median(_summ(gx, gy), n_boot=200, rng=np.random.default_rng(7))
-        b = simple_median(_summ(gx, gy), n_boot=200, rng=np.random.default_rng(7))
-        c = simple_median(_summ(gx, gy), n_boot=200, rng=np.random.default_rng(8))
+        a = simple_median(_summ(gx, gy), rng=np.random.default_rng(7))
+        b = simple_median(_summ(gx, gy), rng=np.random.default_rng(7))
+        c = simple_median(_summ(gx, gy), rng=np.random.default_rng(8))
         assert a.se == b.se
         assert a.se != c.se
         assert a.se > 0
@@ -313,17 +313,15 @@ class TestMedianEstimators:
         gx = np.full(15, 0.5)
         gy = np.full(15, 0.15)
         loose = simple_median(
-            _summ(gx, gy, se_x=0.2, se_y=0.2), n_boot=400, rng=np.random.default_rng(1)
+            _summ(gx, gy, se_x=0.2, se_y=0.2), rng=np.random.default_rng(1)
         )
         tight = simple_median(
-            _summ(gx, gy, se_x=0.01, se_y=0.01),
-            n_boot=400,
-            rng=np.random.default_rng(1),
+            _summ(gx, gy, se_x=0.01, se_y=0.01), rng=np.random.default_rng(1)
         )
         assert tight.se < loose.se
 
     def test_single_instrument_is_the_ratio(self):
-        sm = simple_median(_summ([0.5], [0.2]), n_boot=10)
-        wm = weighted_median(_summ([0.5], [0.2]), n_boot=10)
+        sm = simple_median(_summ([0.5], [0.2]))
+        wm = weighted_median(_summ([0.5], [0.2]))
         assert abs(sm.theta_hat - 0.4) < 1e-12
         assert abs(wm.theta_hat - 0.4) < 1e-12

@@ -27,8 +27,6 @@ class TestSimulateGenotypes:
         gm = simulate_genotypes(50, 30, 0.2, 0.3, rng)
         assert gm.dosages.shape == (50, 30)
         assert set(np.unique(gm.dosages)) <= {0, 1, 2}
-        assert gm.maf.shape == (30,)
-        assert np.all((gm.maf >= 0.2) & (gm.maf <= 0.3))
 
     def test_variant_id_format(self, rng):
         gm = simulate_genotypes(3, 12, 0.2, 0.3, rng)
@@ -41,13 +39,17 @@ class TestSimulateGenotypes:
         a = simulate_genotypes(20, 10, 0.2, 0.3, np.random.default_rng(5))
         b = simulate_genotypes(20, 10, 0.2, 0.3, np.random.default_rng(5))
         assert np.array_equal(a.dosages, b.dosages)
-        assert np.array_equal(a.maf, b.maf)
 
     def test_dosage_frequencies_track_maf(self):
         rng = np.random.default_rng(99)
         gm = simulate_genotypes(20000, 5, 0.25, 0.25, rng)
         freq = gm.dosages.mean(axis=0) / 2
         np.testing.assert_allclose(freq, 0.25, atol=0.01)
+        # frequencies drawn from a range: each column's dosage frequency lies
+        # in it, give or take 0.01 (about 5 sd at n = 50000)
+        gm = simulate_genotypes(50000, 30, 0.2, 0.3, rng)
+        freq = gm.dosages.mean(axis=0) / 2
+        assert np.all((freq >= 0.2 - 0.01) & (freq <= 0.3 + 0.01))
 
     def test_argument_validation(self, rng):
         with pytest.raises(DataError):

@@ -5,7 +5,7 @@ import pytest
 
 from tsre.cli import main
 from tsre.engine import tsre_estimate
-from tsre.errors import ConfigError, DataError
+from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
     compute_grm,
     load_genotypes,
@@ -19,7 +19,7 @@ from tsre.harness import (
     METHOD_TAGS,
     TARGETS,
     ReplicationSpec,
-    apply_selection,
+    _select,
     builtin_rows,
     default_selection,
     estimate_real,
@@ -74,14 +74,16 @@ class TestSelectionSpecs:
         for tag in ("sm", "wm", "ivw", "egger", "tsls"):
             assert default_selection(tag) == "top:20"
 
-    def test_apply_selection_subsets_summaries(self):
+    def test_select_picks_columns(self):
         summ = [
             VariantSummary(f"v{k}", 1.0, 0.1, 0.5, 0.1, p)
             for k, p in enumerate([0.5, 0.01, 0.2])
         ]
-        assert apply_selection(summ, "all") == summ
-        assert [s.variant_id for s in apply_selection(summ, "top:2")] == ["v1", "v2"]
-        assert [s.variant_id for s in apply_selection(summ, "pval:0.05")] == ["v1"]
+        assert _select(summ, "all") is None
+        assert _select(summ, "top:2") == [1, 2]
+        assert _select(summ, "pval:0.05") == [1]
+        with pytest.raises(EstimationError, match=r"^selection 'pval:0.001' keeps no variants$"):
+            _select(summ, "pval:0.001")
 
 
 class TestReplicationSpec:

@@ -115,22 +115,21 @@ class TestSampleEffects:
             strong_groups="bc",
         )
         eff = sample_effects(cfg, np.random.default_rng(2))
-        assert eff.strong_b.size == 10
-        assert eff.strong_c.size == 8
-        np.testing.assert_allclose(eff.beta_b[eff.strong_b], 5.0)
-        np.testing.assert_allclose(eff.beta_c[eff.strong_c], 5.0)
-        weak_b = np.delete(eff.beta_b, eff.strong_b)
-        assert np.all(np.abs(weak_b) < 1.0)
+        # sigma_strong = 0 puts every strong effect exactly at mu_strong
+        strong_b = eff.beta_b == 5.0
+        assert strong_b.sum() == 10
+        assert (eff.beta_c == 5.0).sum() == 8
+        assert np.all(np.abs(eff.beta_b[~strong_b]) < 1.0)
 
     def test_strong_groups_restricts_replacement(self):
         cfg = _cfg(p_strong=0.5, mu_strong=5.0, sigma_strong=0.0, strong_groups="c")
         eff = sample_effects(cfg, np.random.default_rng(4))
-        assert eff.strong_b.size == 0
-        assert eff.strong_c.size == 15
+        assert (eff.beta_b == 5.0).sum() == 0
+        assert (eff.beta_c == 5.0).sum() == 15
 
     def test_no_strong_when_p_zero(self):
-        eff = sample_effects(_cfg(), np.random.default_rng(0))
-        assert eff.strong_b.size == 0 and eff.strong_c.size == 0
+        eff = sample_effects(_cfg(mu_strong=5.0), np.random.default_rng(0))
+        assert (eff.beta_b == 5.0).sum() == 0 and (eff.beta_c == 5.0).sum() == 0
 
 
 class TestGeneratePhenotypes:

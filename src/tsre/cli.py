@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -192,20 +193,28 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():
+        # one stderr line per warning, like the error lines below, instead
+        # of Python's source path and code line
+        warnings.showwarning = _print_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (DataError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except EstimationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 For each of the N = n(n-1)/2 unordered pairs i < j the relatedness entry
 A_ij predicts the exposure pair product X_i*X_j with slope eta and the
 symmetrized cross product (X_i*Y_j + Y_i*X_j)/2 with slope delta; the causal
-effect estimate is the slope ratio delta/eta.  Everything reduces to pair
-sums that stream over the packed GRM triangle, so no N-pair design is ever
-materialized.
+effect estimate is the slope ratio delta/eta.  Everything reduces to four
+relatedness pair sums, so no N-pair design is ever materialized.  They come
+from a packed GRM triangle (a Grm) or, without forming A = Z Z'/m, from the
+standardized genotypes Z behind it (StandardizedGenotypes), whichever the
+caller holds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, EstimationError, centre_traits, check_traits
 from .estimators import Estimate
-from .genotype import Grm
+from .genotype import Grm, StandardizedGenotypes
 
 __all__ = [
     "PairMoments",
@@ -54,19 +56,23 @@ class PairMoments:
     n_pairs: int
 
 
-def pair_moments(a: Grm, x, y) -> PairMoments:
-    """Accumulate the pair sums for a GRM and a phenotype pair.
+def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
+    """Accumulate the pair sums for a relationship matrix and a phenotype pair.
 
-    Phenotypes are used as given (no centering here).  The GRM sums are
-    reductions over the whole packed triangle minus their diagonal terms;
-    the pure phenotype sums come from the identities
-    sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, so the
-    cost is a few passes over the triangle plus O(n) vector work.
+    Phenotypes are used as given (no centering here).  The relatedness sums
+    come from the packed triangle of a Grm (kernels.pair_sums, a few passes
+    over its n(n+1)/2 entries) or from standardized genotypes Z
+    (kernels.genotype_pair_sums, O(nm min(n, m)) through the smaller Gram
+    matrix).  The pure phenotype sums come from the identities
+    sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, in O(n).
     """
     if a.n < 2:
         raise DataError(f"need at least 2 individuals, got {a.n}")
     x, y = check_traits(a.n, x, y)
-    s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)
+    if isinstance(a, Grm):
+        s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)
+    else:
+        s_axx, s_axy, s_a, s_aa = kernels.genotype_pair_sums(a.values, x, y)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
     sx2 = float(x @ x)
@@ -93,13 +99,14 @@ def _guard_denominator(den: float, scale: float, spread: float):
         )
 
 
-def tsre_estimate(a: Grm, x, y) -> Estimate:
-    """Fit the slope-ratio estimator on a GRM and phenotype pair.
+def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
+    """Fit the slope-ratio estimator on a relationship matrix and phenotype pair.
 
-    Both traits are mean-centered internally.  theta_hat is the ratio of the
-    pair covariances of A with the cross and exposure products.
-    se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic variance
-    scale; n_iv is the number of variants behind the GRM.
+    a is a Grm, or the StandardizedGenotypes whose GRM it would be; both give
+    the same fit up to rounding.  Both traits are mean-centered internally.
+    theta_hat is the ratio of the pair covariances of A with the cross and
+    exposure products.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in
+    asymptotic variance scale; n_iv is the number of variants behind A.
     """
     if a.n < 3:
         raise DataError(f"need at least 3 individuals, got {a.n}")
@@ -115,8 +122,9 @@ def tsre_estimate(a: Grm, x, y) -> Estimate:
     if scale <= 0:
         raise EstimationError("degenerate GRM: pair entries have no spread")
     theta = num / den
-    se = _plugin_se(pm, den, theta, xc, yc, a.m_effective)
-    return Estimate(method="tsre", theta_hat=theta, se=se, n_iv=a.m_effective)
+    m = a.m_effective if isinstance(a, Grm) else a.m
+    se = _plugin_se(pm, den, theta, xc, yc, m)
+    return Estimate(method="tsre", theta_hat=theta, se=se, n_iv=m)
 
 
 def _plugin_se(pm, den, theta, xc, yc, m) -> float:

@@ -191,8 +191,10 @@ _SUMMARY_METHODS = {
 def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None) -> Estimate:
     """Run one checked (method, selection) pair.
 
-    grm, when given, is the all-variant GRM of std; tsre on 'all' uses it
-    instead of building its own.
+    tsre fits on the standardized genotypes of the selected variants
+    (kernels.genotype_pair_sums) and never calls compute_grm.  grm, when
+    given, is the all-variant GRM of std; tsre on 'all' then fits on its
+    packed triangle, which costs O(n^2) rather than O(n^2 m).
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:
@@ -203,15 +205,12 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None =
         # the C-ordered std.values differs in the last bits.
         return tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
     if cols is not None:
-        grm = compute_grm(
-            StandardizedGenotypes(
-                values=np.ascontiguousarray(std.values[:, cols]),
-                variant_ids=[std.variant_ids[c] for c in cols],
-            )
+        std = StandardizedGenotypes(
+            values=std.values[:, cols], variant_ids=[std.variant_ids[c] for c in cols]
         )
-    elif grm is None:
-        grm = compute_grm(std)
-    return tsre_estimate(grm, x, y)
+    elif grm is not None:
+        return tsre_estimate(grm, x, y)
+    return tsre_estimate(std, x, y)
 
 
 def _replicate_outcomes(args):
@@ -708,6 +707,10 @@ def estimate_real(
         raise EstimationError(f"only {gm.n} individuals remain after filtering")
 
     summaries = per_variant_regression(std, x, y)
+    if grm is None and method == "tsre" and selection == "all":
+        # fit on the packed triangle, so that the result has the same bits
+        # with and without --grm
+        grm = compute_grm(std)
     est = _run_method(
         method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0), grm
     )

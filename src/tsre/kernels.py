@@ -1,9 +1,10 @@
-"""Reductions over a packed lower triangle of a symmetric matrix.
+"""Reductions over the unordered pairs i > j of a relationship matrix.
 
-Row i of the triangle (diagonal included, row-major) occupies slots
-[i(i+1)/2, i(i+1)/2 + i], so the diagonal entry A_ii sits at i(i+3)/2.  Every
-reduction runs over the strict-lower entries, i.e. over unordered pairs
-i > j, and never materialises the pair-level design.
+The matrix comes either as a packed lower triangle or as the standardized
+genotypes Z behind A = Z Z' / m.  Row i of a packed triangle (diagonal
+included, row-major) occupies slots [i(i+1)/2, i(i+1)/2 + i], so the
+diagonal entry A_ii sits at i(i+3)/2.  No reduction materialises the
+pair-level design.
 """
 
 import numpy as np
@@ -26,6 +27,39 @@ def pair_sums(tri, n, x, y):
     s_aa = tri @ tri - d @ d
     s_axx = (x @ ax - d @ (x * x)) / 2.0
     s_axy = (y @ ax - d @ (x * y)) / 2.0
+    return float(s_axx), float(s_axy), float(s_a), float(s_aa)
+
+
+def genotype_pair_sums(z, x, y):
+    """The four sums of pair_sums for A = Z Z' / m, from the n x m
+    standardized genotypes Z without a packed triangle.
+
+    When m > n, A is itself the smaller Gram matrix: it is formed densely,
+    its diagonal zeroed, and each sum is a plain reduction of it.  Otherwise,
+    with u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is
+    half of its whole-matrix form minus the diagonal terms:
+    s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2,
+    s_a = (w.w/m - sum d)/2 and s_aa = (|Z'Z|_F^2/m^2 - d.d)/2, where Z'Z and
+    Z Z' have the same Frobenius norm.  Those differences lose about
+    log10(sqrt(m)) digits to the diagonal terms, which is why the m > n case
+    does without them.  Either way the cost is O(nm min(n, m)).
+    """
+    n, m = z.shape
+    if m > n:
+        a = z @ z.T
+        a /= m
+        np.fill_diagonal(a, 0.0)
+        ax = a @ x
+        s_axx = x @ ax / 2.0
+        s_axy = y @ ax / 2.0
+        return float(s_axx), float(s_axy), float(a.sum() / 2.0), float(np.vdot(a, a) / 2.0)
+    u, v, w = (z.T @ np.column_stack((x, y, np.ones(n)))).T
+    d = np.einsum("ij,ij->i", z, z) / m
+    g = z.T @ z
+    s_axx = (u @ u / m - d @ (x * x)) / 2.0
+    s_axy = (u @ v / m - d @ (x * y)) / 2.0
+    s_a = (w @ w / m - d.sum()) / 2.0
+    s_aa = (np.vdot(g, g) / m**2 - d @ d) / 2.0
     return float(s_axx), float(s_axy), float(s_a), float(s_aa)
 
 

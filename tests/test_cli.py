@@ -125,6 +125,17 @@ class TestEstimateCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "5"
 
+    def test_oversized_top_k_warns_in_one_line(self, dataset, capsys):
+        # 33 variants: 25 exposure-only and 8 pleiotropic
+        assert main(self._argv(dataset, "ivw", "--select", "all")) == 0
+        plain = capsys.readouterr().out
+        assert main(self._argv(dataset, "ivw", "--select", "top:50")) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert captured.err == (
+            "warning: requested top 50 variants but only 33 are available; using all\n"
+        )
+
     def test_precomputed_grm_flag(self, dataset, tmp_path, capsys):
         grm_path = tmp_path / "a.grm"
         main(["grm", "--genotypes", str(dataset / "genotypes.csv"), "--out", str(grm_path)])

@@ -16,7 +16,7 @@ from tsre.engine import (
     tsre_estimate,
 )
 from tsre.errors import DataError, EstimationError
-from tsre.genotype import Grm, compute_grm
+from tsre.genotype import Grm, compute_grm, simulate_genotypes, standardize
 
 from conftest import dense_to_packed, random_standardized
 
@@ -209,6 +209,23 @@ class TestTsreEstimate:
         a = np.array([[1.0, 0.2], [0.2, 1.0]])
         with pytest.raises(DataError):
             tsre_estimate(_grm_from_dense(a), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
+    def test_genotypes_give_the_grm_fit(self, n, m):
+        # both branches of the genotype kernel: m <= n and m > n
+        rng = np.random.default_rng(n + m)
+        std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
+        grm = compute_grm(std)
+        x = std.values @ rng.normal(0, 0.5, size=std.m) + rng.normal(size=n)
+        y = 0.3 * x + rng.normal(size=n)
+        direct = tsre_estimate(std, x, y)
+        via_grm = tsre_estimate(grm, x, y)
+        np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
+        np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
+        assert direct.n_iv == via_grm.n_iv == std.m
+        for source in (std, grm):
+            with pytest.raises(EstimationError, match="no signal: the exposure does not vary"):
+                tsre_estimate(source, np.full(n, 2.0), y)
 
     def test_permutation_invariance(self):
         a, x, y = _random_problem(19, n=12)

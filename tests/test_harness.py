@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tsre import harness
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
@@ -138,6 +139,20 @@ class TestRunScenario:
         assert res.reps_failed == 3
         assert np.isnan(res.mean) and np.isnan(res.sd_mc)
         assert res.estimates.size == 0
+
+    def test_tsre_builds_no_grm(self, monkeypatch, real_data):
+        # every tsre fit of a replicate, and one on a subset in estimate_real,
+        # works from the standardized genotypes
+        def no_grm(std):
+            raise AssertionError("compute_grm called")
+
+        monkeypatch.setattr(harness, "compute_grm", no_grm)
+        jobs = [("tsre", "all"), ("tsre", "top:5"), ("tsre", "pval:0.05")]
+        for res in run_scenario(_tiny_cfg(), ReplicationSpec(reps=3, seed=5), jobs=jobs):
+            assert res.reps_failed == 0
+        gpath, xpath, ypath, *_ = real_data
+        for selection in ("top:5", "pval:0.05"):
+            estimate_real(gpath, xpath, ypath, method="tsre", selection=selection)
 
     def test_bad_jobs_rejected(self):
         cfg = _tiny_cfg()
@@ -359,7 +374,7 @@ class TestEstimateReal:
 
     @pytest.mark.parametrize("selection", [None, "top:5"])
     def test_precomputed_grm_matches_recomputation(self, real_data, tmp_path, selection):
-        # a subset selection builds its own GRM and ignores the file
+        # a subset selection fits on its own genotype columns and ignores the file
         gpath, xpath, ypath, *_ = real_data
         std = standardize(load_genotypes(gpath))
         grm_path = tmp_path / "a.grm"

@@ -1,4 +1,4 @@
-"""Packed-triangle reduction kernels against explicit double-loop oracles."""
+"""Pair-reduction kernels against explicit double-loop oracles."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from tsre.genotype import compute_grm, simulate_genotypes, standardize
 from conftest import dense_to_packed, packed_to_dense
 
 # (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
-# GRM of m simulated variants.  With m >> n that GRM is diagonal-dominant
+# GRM of m simulated variants, whose pair sums are also taken straight from
+# the standardized genotypes (m < n and m > n take different branches of
+# genotype_pair_sums).  With m >> n that GRM is diagonal-dominant
 # (off-diagonal entries ~ 1/sqrt(m) against a unit diagonal), as in the
 # many-null-variant regime, so the pair sums are small differences of
 # whole-triangle and diagonal terms.  The GRMs come from simulate_genotypes,
@@ -26,22 +28,27 @@ CASES = [
     (5, 6, 5000),
     (17, 7, 20000),
     (40, 8, 50000),
+    (40, 9, 10),
+    (60, 10, 1),
 ]
 
 
 def _random_instance(n, seed, m):
     rng = np.random.default_rng(seed)
+    z = None
     if m is None:
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
         tri = np.ascontiguousarray(dense_to_packed(a))
     else:
-        grm = compute_grm(standardize(simulate_genotypes(n, m, 0.2, 0.3, rng)))
+        std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
+        grm = compute_grm(std)
         a = packed_to_dense(grm.lower_triangle, n)
         tri = grm.lower_triangle
+        z = std.values
     x = rng.normal(size=n)
     y = rng.normal(size=n)
-    return a, tri, x, y
+    return a, tri, x, y, z
 
 
 def _pair_sums_oracle(a, x, y):
@@ -70,16 +77,19 @@ def _diag_sums_oracle(a, x, y, theta, a_bar, e_bar):
 
 @pytest.mark.parametrize("n,seed,m", CASES)
 def test_pair_sums_matches_double_loop(n, seed, m):
-    a, tri, x, y = _random_instance(n, seed, m)
-    got = kernels.pair_sums(tri, n, x, y)
+    a, tri, x, y, z = _random_instance(n, seed, m)
     want = _pair_sums_oracle(a, x, y)
-    assert all(type(v) is float for v in got)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    kernel_sums = [kernels.pair_sums(tri, n, x, y)]
+    if z is not None:
+        kernel_sums.append(kernels.genotype_pair_sums(z, x, y))
+    for got in kernel_sums:
+        assert all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,seed,m", CASES)
 def test_diag_sums_matches_double_loop(n, seed, m):
-    a, tri, x, y = _random_instance(n, seed, m)
+    a, tri, x, y, _ = _random_instance(n, seed, m)
     theta, a_bar, e_bar = 0.37, 0.05, -0.2
     got = kernels.diag_sums(tri, n, x, y, theta, a_bar, e_bar)
     want = _diag_sums_oracle(a, x, y, theta, a_bar, e_bar)

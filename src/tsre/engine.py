@@ -5,9 +5,10 @@ A_ij predicts the exposure pair product X_i*X_j with slope eta and the
 symmetrized cross product (X_i*Y_j + Y_i*X_j)/2 with slope delta; the causal
 effect estimate is the slope ratio delta/eta.  Everything reduces to four
 relatedness pair sums, so no N-pair design is ever materialized.  They come
-from a packed GRM triangle (a Grm) or, without forming A = Z Z'/m, from the
-standardized genotypes Z behind it (StandardizedGenotypes), whichever the
-caller holds.
+from a packed GRM triangle (a Grm) or from the standardized genotypes Z
+behind it (StandardizedGenotypes), whichever the caller holds.  From Z with
+no more variants than individuals they are taken without forming
+A = Z Z'/m; with more, the packed triangle is built and reduced.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import DataError, EstimationError, centre_traits, check_traits
 from .estimators import Estimate
-from .genotype import Grm, StandardizedGenotypes
+from .genotype import Grm, StandardizedGenotypes, compute_grm
 
 __all__ = [
     "PairMoments",
@@ -61,18 +62,21 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
 
     Phenotypes are used as given (no centering here).  The relatedness sums
     come from the packed triangle of a Grm (kernels.pair_sums, a few passes
-    over its n(n+1)/2 entries) or from standardized genotypes Z
-    (kernels.genotype_pair_sums, O(nm min(n, m)) through the smaller Gram
-    matrix).  The pure phenotype sums come from the identities
+    over its n(n+1)/2 entries).  From standardized genotypes Z with m <= n
+    they come from Z'x, Z'y and the m x m Gram matrix Z'Z
+    (kernels.genotype_pair_sums, O(n m^2)); with m > n, Z Z' is itself the
+    smaller Gram matrix, so the packed GRM is built and reduced.  The pure
+    phenotype sums come from the identities
     sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, in O(n).
     """
     if a.n < 2:
         raise DataError(f"need at least 2 individuals, got {a.n}")
     x, y = check_traits(a.n, x, y)
-    if isinstance(a, Grm):
-        s_axx, s_axy, s_a, s_aa = kernels.pair_sums(a.lower_triangle, a.n, x, y)
-    else:
+    if isinstance(a, StandardizedGenotypes) and a.m <= a.n:
         s_axx, s_axy, s_a, s_aa = kernels.genotype_pair_sums(a.values, x, y)
+    else:
+        tri = (a if isinstance(a, Grm) else compute_grm(a)).lower_triangle
+        s_axx, s_axy, s_a, s_aa = kernels.pair_sums(tri, a.n, x, y)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
     sx2 = float(x @ x)

@@ -191,10 +191,10 @@ _SUMMARY_METHODS = {
 def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None) -> Estimate:
     """Run one checked (method, selection) pair.
 
-    tsre fits on the standardized genotypes of the selected variants
-    (kernels.genotype_pair_sums) and never calls compute_grm.  grm, when
-    given, is the all-variant GRM of std; tsre on 'all' then fits on its
-    packed triangle, which costs O(n^2) rather than O(n^2 m).
+    tsre fits on the standardized genotypes of the selected variants, which
+    builds no GRM unless they outnumber the individuals (engine.pair_moments).
+    grm, when given, is the all-variant GRM of std; tsre on 'all' then fits
+    on its packed triangle, which costs O(n^2) rather than O(n^2 m).
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:
@@ -206,7 +206,8 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None =
         return tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
     if cols is not None:
         std = StandardizedGenotypes(
-            values=std.values[:, cols], variant_ids=[std.variant_ids[c] for c in cols]
+            values=np.ascontiguousarray(std.values[:, cols]),
+            variant_ids=[std.variant_ids[c] for c in cols],
         )
     elif grm is not None:
         return tsre_estimate(grm, x, y)

@@ -32,27 +32,17 @@ def pair_sums(tri, n, x, y):
 
 def genotype_pair_sums(z, x, y):
     """The four sums of pair_sums for A = Z Z' / m, from the n x m
-    standardized genotypes Z without a packed triangle.
+    standardized genotypes Z without a packed triangle; for m <= n.
 
-    When m > n, A is itself the smaller Gram matrix: it is formed densely,
-    its diagonal zeroed, and each sum is a plain reduction of it.  Otherwise,
-    with u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is
+    With u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is
     half of its whole-matrix form minus the diagonal terms:
     s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2,
     s_a = (w.w/m - sum d)/2 and s_aa = (|Z'Z|_F^2/m^2 - d.d)/2, where Z'Z and
-    Z Z' have the same Frobenius norm.  Those differences lose about
-    log10(sqrt(m)) digits to the diagonal terms, which is why the m > n case
-    does without them.  Either way the cost is O(nm min(n, m)).
+    Z Z' have the same Frobenius norm.  The cost is O(n m^2).  Those
+    differences lose about log10(sqrt(m)) digits to the diagonal terms, so
+    for m > n the packed triangle (pair_sums) is both cheaper and closer.
     """
     n, m = z.shape
-    if m > n:
-        a = z @ z.T
-        a /= m
-        np.fill_diagonal(a, 0.0)
-        ax = a @ x
-        s_axx = x @ ax / 2.0
-        s_axy = y @ ax / 2.0
-        return float(s_axx), float(s_axy), float(a.sum() / 2.0), float(np.vdot(a, a) / 2.0)
     u, v, w = (z.T @ np.column_stack((x, y, np.ones(n)))).T
     d = np.einsum("ij,ij->i", z, z) / m
     g = z.T @ z

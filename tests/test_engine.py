@@ -212,7 +212,8 @@ class TestTsreEstimate:
 
     @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
     def test_genotypes_give_the_grm_fit(self, n, m):
-        # both branches of the genotype kernel: m <= n and m > n
+        # m <= n fits through kernels.genotype_pair_sums, m > n through the
+        # packed GRM that pair_moments builds
         rng = np.random.default_rng(n + m)
         std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
         grm = compute_grm(std)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsre import harness
+from tsre import engine, harness
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
@@ -141,12 +141,14 @@ class TestRunScenario:
         assert res.estimates.size == 0
 
     def test_tsre_builds_no_grm(self, monkeypatch, real_data):
-        # every tsre fit of a replicate, and one on a subset in estimate_real,
-        # works from the standardized genotypes
+        # with no more variants than individuals, every tsre fit of a
+        # replicate, and one on a subset in estimate_real, works from the
+        # standardized genotypes
         def no_grm(std):
             raise AssertionError("compute_grm called")
 
         monkeypatch.setattr(harness, "compute_grm", no_grm)
+        monkeypatch.setattr(engine, "compute_grm", no_grm)
         jobs = [("tsre", "all"), ("tsre", "top:5"), ("tsre", "pval:0.05")]
         for res in run_scenario(_tiny_cfg(), ReplicationSpec(reps=3, seed=5), jobs=jobs):
             assert res.reps_failed == 0

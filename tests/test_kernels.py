@@ -9,9 +9,8 @@ from tsre.genotype import compute_grm, simulate_genotypes, standardize
 from conftest import dense_to_packed, packed_to_dense
 
 # (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
-# GRM of m simulated variants, whose pair sums are also taken straight from
-# the standardized genotypes (m < n and m > n take different branches of
-# genotype_pair_sums).  With m >> n that GRM is diagonal-dominant
+# GRM of m simulated variants, whose pair sums, when m <= n, are also taken
+# straight from the standardized genotypes.  With m >> n that GRM is diagonal-dominant
 # (off-diagonal entries ~ 1/sqrt(m) against a unit diagonal), as in the
 # many-null-variant regime, so the pair sums are small differences of
 # whole-triangle and diagonal terms.  The GRMs come from simulate_genotypes,
@@ -80,7 +79,7 @@ def test_pair_sums_matches_double_loop(n, seed, m):
     a, tri, x, y, z = _random_instance(n, seed, m)
     want = _pair_sums_oracle(a, x, y)
     kernel_sums = [kernels.pair_sums(tri, n, x, y)]
-    if z is not None:
+    if z is not None and z.shape[1] <= n:
         kernel_sums.append(kernels.genotype_pair_sums(z, x, y))
     for got in kernel_sums:
         assert all(type(v) is float for v in got)

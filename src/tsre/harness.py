@@ -191,10 +191,10 @@ _SUMMARY_METHODS = {
 def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None) -> Estimate:
     """Run one checked (method, selection) pair.
 
-    tsre fits on the standardized genotypes of the selected variants, which
-    builds no GRM unless they outnumber the individuals (engine.pair_moments).
-    grm, when given, is the all-variant GRM of std; tsre on 'all' then fits
-    on its packed triangle, which costs O(n^2) rather than O(n^2 m).
+    tsre fits on the standardized genotypes of the selected variants in
+    O(nm), building no GRM (engine.pair_moments).  grm, when given, is the
+    all-variant GRM of std; tsre on 'all' then fits on its packed triangle,
+    which costs O(n^2).
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:

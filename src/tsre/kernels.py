@@ -1,10 +1,10 @@
 """Reductions over the unordered pairs i > j of a relationship matrix.
 
-The matrix comes either as a packed lower triangle or as the standardized
-genotypes Z behind A = Z Z' / m.  Row i of a packed triangle (diagonal
-included, row-major) occupies slots [i(i+1)/2, i(i+1)/2 + i], so the
-diagonal entry A_ii sits at i(i+3)/2.  No reduction materialises the
-pair-level design.
+The matrix comes either as a packed lower triangle, reduced in O(n^2), or as
+the standardized genotypes Z behind A = Z Z' / m, reduced in O(nm) for any
+shape without forming A.  Row i of a packed triangle (diagonal included,
+row-major) occupies slots [i(i+1)/2, i(i+1)/2 + i], so the diagonal entry
+A_ii sits at i(i+3)/2.  No reduction materialises the pair-level design.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ from scipy.linalg.blas import dspmv
 
 
 def pair_sums(tri, n, x, y):
-    """Sums of A_ij, A_ij^2, A_ij*x_i*x_j and symmetrised A_ij*x_i*y_j
-    over all pairs i > j of a packed lower triangle.
+    """Sums of A_ij, A_ij*x_i*x_j and symmetrised A_ij*x_i*y_j over all
+    pairs i > j of a packed lower triangle.
 
-    Returns (s_axx, s_axy, s_a, s_aa) as Python floats.  Each sum is a
+    Returns (s_axx, s_axy, s_a) as Python floats.  Each sum is a
     whole-triangle reduction minus its diagonal terms; the symmetric
     matrix-vector product A x comes from BLAS, because a row-major packed
     lower triangle is the column-major packed upper one that dspmv reads.
@@ -24,33 +24,28 @@ def pair_sums(tri, n, x, y):
     d = tri[idx * (idx + 3) // 2]
     ax = dspmv(n, 1.0, tri, x, lower=0)
     s_a = tri.sum() - d.sum()
-    s_aa = tri @ tri - d @ d
     s_axx = (x @ ax - d @ (x * x)) / 2.0
     s_axy = (y @ ax - d @ (x * y)) / 2.0
-    return float(s_axx), float(s_axy), float(s_a), float(s_aa)
+    return float(s_axx), float(s_axy), float(s_a)
 
 
 def genotype_pair_sums(z, x, y):
-    """The four sums of pair_sums for A = Z Z' / m, from the n x m
-    standardized genotypes Z without a packed triangle; for m <= n.
+    """The three sums of pair_sums for A = Z Z' / m, from the n x m
+    standardized genotypes Z in O(n m), for any shape.
 
     With u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is
     half of its whole-matrix form minus the diagonal terms:
-    s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2,
-    s_a = (w.w/m - sum d)/2 and s_aa = (|Z'Z|_F^2/m^2 - d.d)/2, where Z'Z and
-    Z Z' have the same Frobenius norm.  The cost is O(n m^2).  Those
-    differences lose about log10(sqrt(m)) digits to the diagonal terms, so
-    for m > n the packed triangle (pair_sums) is both cheaper and closer.
+    s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2 and
+    s_a = (w.w/m - sum d)/2.  The three products are one (3 x n) @ Z, which
+    streams Z once in its own row-major layout.
     """
     n, m = z.shape
-    u, v, w = (z.T @ np.column_stack((x, y, np.ones(n)))).T
+    u, v, w = np.stack((x, y, np.ones(n))) @ z
     d = np.einsum("ij,ij->i", z, z) / m
-    g = z.T @ z
     s_axx = (u @ u / m - d @ (x * x)) / 2.0
     s_axy = (u @ v / m - d @ (x * y)) / 2.0
     s_a = (w @ w / m - d.sum()) / 2.0
-    s_aa = (np.vdot(g, g) / m**2 - d @ d) / 2.0
-    return float(s_axx), float(s_axy), float(s_a), float(s_aa)
+    return float(s_axx), float(s_axy), float(s_a)
 
 
 def diag_sums(tri, n, x, y, theta, a_bar, e_bar):

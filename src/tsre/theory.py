@@ -123,7 +123,7 @@ def bias_tsre(p: MomentParams) -> float:
 
 def bias_ivw(p: MomentParams) -> float:
     """Asymptotic bias of IVW on all instruments; equals bias_tsre."""
-    return p.m_c * p.e_bcac / _genetic_denominator(p)
+    return bias_tsre(p)
 
 
 def bias_egger(p: MomentParams) -> float:

@@ -68,7 +68,6 @@ class TestPairMoments:
         pm = pair_moments(_grm_from_dense(a), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
         assert pm.s_axx == -2.0
         assert pm.s_a == -1.0
-        assert pm.s_aa == 1.0
         assert pm.n_pairs == 1
         assert pm.s_xx == 2.0
 
@@ -81,7 +80,6 @@ class TestPairMoments:
         np.testing.assert_allclose(pm.s_axx, np.sum(av * pv), rtol=1e-12)
         np.testing.assert_allclose(pm.s_axy, np.sum(av * qv), rtol=1e-12)
         np.testing.assert_allclose(pm.s_a, av.sum(), rtol=1e-12)
-        np.testing.assert_allclose(pm.s_aa, np.sum(av * av), rtol=1e-12)
         np.testing.assert_allclose(
             pm.s_xx, sum(x[i] * x[j] for i in range(len(x)) for j in range(i)),
             rtol=1e-12,
@@ -210,10 +208,24 @@ class TestTsreEstimate:
         with pytest.raises(DataError):
             tsre_estimate(_grm_from_dense(a), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("m_effective", [1, 10**6])
+    @pytest.mark.parametrize("n", [3, 6, 50])
+    @pytest.mark.parametrize("c", ["zero", "0.3", "-1/(n-1)"])
+    def test_constant_pair_relatedness_is_an_error(self, c, n, m_effective):
+        # A_ij the same for every pair leaves cov(A, XX) at zero, whatever
+        # spread of A the guard assumes
+        c = {"zero": 0.0, "0.3": 0.3, "-1/(n-1)": -1.0 / (n - 1)}[c]
+        a = np.full((n, n), c) + (1.0 - c) * np.eye(n)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = 0.3 * x + rng.normal(size=n)
+        with pytest.raises(EstimationError):
+            tsre_estimate(_grm_from_dense(a, m_effective), x, y)
+
     @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
     def test_genotypes_give_the_grm_fit(self, n, m):
-        # m <= n fits through kernels.genotype_pair_sums, m > n through the
-        # packed GRM that pair_moments builds
+        # both shapes, m <= n and m > n, fit through
+        # kernels.genotype_pair_sums without a GRM
         rng = np.random.default_rng(n + m)
         std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
         grm = compute_grm(std)
@@ -343,6 +355,8 @@ def test_property_diagnostic_vanishes_at_fit(problem):
     mean, _ = moment_diagnostic(grm, x, y, fit.theta_hat)
     # the cross-pair slope of the fit scales the bound
     pm = pair_moments(grm, x - x.mean(), y - y.mean())
-    delta = (pm.s_axy - pm.s_a * pm.s_xy / pm.n_pairs) / (pm.s_aa - pm.s_a**2 / pm.n_pairs)
+    av, _, _ = _pair_table(a, x, y)
+    s_aa = np.sum(av * av)
+    delta = (pm.s_axy - pm.s_a * pm.s_xy / pm.n_pairs) / (s_aa - pm.s_a**2 / pm.n_pairs)
     # normal equation: the centered moment at theta_hat is identically zero
     assert abs(mean) < 1e-10 * max(1.0, abs(delta))

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="variant selection: all, top:K, or pval:A (default: method convention)",
     )
-    p.add_argument("--grm", default=None, help="precomputed GRM binary")
+    p.add_argument("--grm", default=None, help="GRM binary of the genotypes, for --grm-cutoff")
     p.add_argument(
         "--grm-cutoff",
         type=float,

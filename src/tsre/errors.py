@@ -12,6 +12,7 @@ exposure and outcome vector follows on its way into an estimator.
 import csv
 import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,6 +142,8 @@ def write_csv(fh, header, rows) -> None:
     A field is quoted only when it holds a comma, a quote or a line break.
     Python and NumPy floats are written as repr(float(v)) writes them.
     """
-    writer = csv.writer(fh, lineterminator="\n")
+    # csv quotes only its terminator's characters: end rows in \r\n to quote a bare \r
+    rows_lf = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+    writer = csv.writer(rows_lf, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)

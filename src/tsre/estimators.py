@@ -36,7 +36,7 @@ class Estimate:
     method is one of: tsls, ivw_fe, ivw_re, egger, simple_median,
     weighted_median, tsre.  intercept is the Egger intercept and
     overdispersion the fitted inflation factor; both are None where the
-    method has no such concept.
+    method has no such concept.  theta_hat and se are always finite.
     """
 
     method: str
@@ -45,6 +45,10 @@ class Estimate:
     n_iv: int
     intercept: float | None = None
     overdispersion: float | None = None
+
+    def __post_init__(self):
+        if not np.isfinite([self.theta_hat, self.se]).all():
+            raise EstimationError(f"{self.method}: non-finite theta_hat or se")
 
 
 def _unpack(summaries: list[VariantSummary]):

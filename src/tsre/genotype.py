@@ -92,6 +92,8 @@ class Grm:
             raise DataError(
                 f"packed triangle has length {self.lower_triangle.shape}, expected ({expected},)"
             )
+        if self.m_effective < 1:
+            raise DataError(f"a GRM needs m_effective >= 1, got {self.m_effective}")
 
     def diagonal(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.int64)
@@ -158,12 +160,10 @@ def compute_grm(std: StandardizedGenotypes) -> Grm:
     """
     values = std.values
     n, m_eff = values.shape
-    if m_eff < 1:
-        raise DataError("need at least one retained variant to build a relationship matrix")
-    tri = np.empty(n * (n + 1) // 2, dtype=np.float64)
+    grm = Grm(n=n, lower_triangle=np.empty(n * (n + 1) // 2), m_effective=m_eff)
     for r0 in range(0, n, _PANEL_ROWS):
-        _grm_panel(values, tri, r0, min(r0 + _PANEL_ROWS, n), m_eff)
-    return Grm(n=n, lower_triangle=tri, m_effective=m_eff)
+        _grm_panel(values, grm.lower_triangle, r0, min(r0 + _PANEL_ROWS, n), m_eff)
+    return grm
 
 
 def check_cutoff(cutoff: float) -> None:
@@ -256,6 +256,7 @@ def save_grm(grm: Grm, path) -> None:
 
 
 def load_grm(path) -> Grm:
+    """Read a save_grm file; bad or non-finite content is a DataError naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _GRM_MAGIC:
@@ -264,6 +265,8 @@ def load_grm(path) -> Grm:
         if len(head) != 16:
             raise DataError(f"{path}: truncated GRM header")
         n, m_eff = struct.unpack("<QQ", head)
+        if m_eff < 1:
+            raise DataError(f"{path}: GRM header has m_effective=0")
         expected = n * (n + 1) // 2
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != 8 * expected:
@@ -271,6 +274,9 @@ def load_grm(path) -> Grm:
                 f"{path}: triangle has {size} bytes, expected {8 * expected} for n={n}"
             )
         tri = np.fromfile(fh, dtype="<f8", count=expected)
+    nonfinite = np.count_nonzero(~np.isfinite(tri))
+    if nonfinite:
+        raise DataError(f"{path}: {nonfinite} GRM entries are NaN or infinite")
     return Grm(
         n=int(n), lower_triangle=tri.astype(np.float64, copy=False), m_effective=int(m_eff)
     )

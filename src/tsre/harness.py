@@ -188,13 +188,11 @@ _SUMMARY_METHODS = {
 }
 
 
-def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None = None) -> Estimate:
+def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
     """Run one checked (method, selection) pair.
 
     tsre fits on the standardized genotypes of the selected variants in
-    O(nm), building no GRM (engine.pair_moments).  grm, when given, is the
-    all-variant GRM of std; tsre on 'all' then fits on its packed triangle,
-    which costs O(n^2).
+    O(nm), building no GRM (engine.pair_moments).
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:
@@ -209,8 +207,6 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for, grm: Grm | None =
             values=np.ascontiguousarray(std.values[:, cols]),
             variant_ids=[std.variant_ids[c] for c in cols],
         )
-    elif grm is not None:
-        return tsre_estimate(grm, x, y)
     return tsre_estimate(std, x, y)
 
 
@@ -640,9 +636,10 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     )
 
 
-def _check_grm(grm: Grm, std: StandardizedGenotypes, ids, path) -> None:
-    """A precomputed GRM must be the all-variant GRM of the aligned sample:
-    the same n and m, and the diagonal |z_i|^2 / m of its standardized rows."""
+def _load_checked_grm(path, std: StandardizedGenotypes, ids) -> Grm:
+    """Load a precomputed GRM, which must be the all-variant GRM of the aligned
+    sample: the same n and m, and the diagonal |z_i|^2 / m of its standardized rows."""
+    grm = load_grm(path)
     if grm.n != std.n:
         raise DataError(
             f"{path}: GRM has n={grm.n} but {std.n} individuals remain after alignment"
@@ -653,14 +650,14 @@ def _check_grm(grm: Grm, std: StandardizedGenotypes, ids, path) -> None:
             f"genotypes have {std.m} polymorphic variants"
         )
     diag = np.einsum("ij,ij->i", std.values, std.values) / std.m
-    # written so that a NaN on either side counts as a mismatch
-    bad = np.flatnonzero(~(np.abs(grm.diagonal() - diag) <= 1e-9 * np.abs(diag)))
+    bad = np.flatnonzero(np.abs(grm.diagonal() - diag) > 1e-9 * np.abs(diag))
     if bad.size:
         raise DataError(
             f"{path}: GRM diagonal does not match the genotypes for {bad.size} of "
             f"{std.n} individuals (first: {ids[bad[0]]!r}); was it built from "
             "another sample?"
         )
+    return grm
 
 
 def estimate_real(
@@ -675,10 +672,11 @@ def estimate_real(
     """File-based estimation: load, align, filter, standardize, estimate.
 
     grm_cutoff removes one member of every pair more related than the
-    cutoff before estimation; grm_path supplies a precomputed GRM for that
-    filtering step and for the pair regression; it must match the aligned
-    sample in n, m and its diagonal.  Genotypes are re-standardized after any
-    filtering.
+    cutoff before estimation.  grm_path supplies a precomputed GRM; it must
+    match the aligned sample in n, m and its diagonal, and then serves only
+    that filtering step.  Without it the filter builds the GRM itself.
+    Genotypes are re-standardized after any filtering, and every method,
+    tsre included, fits on them.
     """
     selection = selection or default_selection(method)
     _check_jobs([(method, selection)])
@@ -690,29 +688,17 @@ def estimate_real(
     gm = _subset_genotypes(gm, rows, ids)
 
     std = standardize(gm)
-    grm = None
-    if grm_path is not None:
-        grm = load_grm(grm_path)
-        _check_grm(grm, std, ids, grm_path)
+    grm = None if grm_path is None else _load_checked_grm(grm_path, std, ids)
     if grm_cutoff is not None:
-        if grm is None:
-            grm = compute_grm(std)
-        kept = filter_related(grm, grm_cutoff)
+        kept = filter_related(compute_grm(std) if grm is None else grm, grm_cutoff)
         if kept.size < gm.n:
             gm = _subset_genotypes(gm, kept, [ids[k] for k in kept])
             x = x[kept]
             y = y[kept]
             std = standardize(gm)
-            grm = None  # stale after subsetting; recomputed below if needed
     if gm.n < 3:
         raise EstimationError(f"only {gm.n} individuals remain after filtering")
 
     summaries = per_variant_regression(std, x, y)
-    if grm is None and method == "tsre" and selection == "all":
-        # fit on the packed triangle, so that the result has the same bits
-        # with and without --grm
-        grm = compute_grm(std)
-    est = _run_method(
-        method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0), grm
-    )
+    est = _run_method(method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0))
     return RealDataResult(method, est.theta_hat, est.se, gm.n, est.n_iv)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ class TestEstimateCommand:
         assert main(self._argv(dataset, "tsre", "--grm", str(grm_path))) == 3
         err = capsys.readouterr().err
         assert str(grm_path) in err and "diagonal" in err
+
+    @pytest.mark.parametrize("cutoff", [None, "0.5"], ids=["fit", "filter"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_grm_entry_exits_three(self, dataset, tmp_path, capsys, bad, cutoff):
+        grm_path = tmp_path / "a.grm"
+        main(["grm", "--genotypes", str(dataset / "genotypes.csv"), "--out", str(grm_path)])
+        raw = bytearray(grm_path.read_bytes())
+        # packed slot 4 is the off-diagonal entry (2, 1), after the 20-byte header
+        raw[20 + 8 * 4 : 20 + 8 * 5] = struct.pack("<d", bad)
+        grm_path.write_bytes(raw)
+        capsys.readouterr()
+        extra = ["--grm", str(grm_path)] + (["--grm-cutoff", cutoff] if cutoff else [])
+        assert main(self._argv(dataset, "tsre", *extra)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {grm_path}: 1 GRM entries are NaN or infinite\n"
 
     def test_bad_selection_exits_two(self, dataset, capsys):
         assert main(self._argv(dataset, "ivw", "--select", "bogus")) == 2

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tsre.errors import DataError, EstimationError
+from tsre.errors import DataError, EstimationError, TsreError
 from tsre.estimators import (
     _weighted_median,
     egger,
@@ -325,3 +327,54 @@ class TestMedianEstimators:
         wm = weighted_median(_summ([0.5], [0.2]))
         assert abs(sm.theta_hat - 0.4) < 1e-12
         assert abs(wm.theta_hat - 0.4) < 1e-12
+
+
+# Bounds of the drawn summaries: effects in [-1e6, 1e6] and standard errors in
+# [1e-6, 1e6] span twelve orders of magnitude either side of a unit-scale
+# trait, yet every weight and product the estimators form from them (se^-2 up
+# to 1e12, times an effect squared up to 1e12) stays hundreds of orders of
+# magnitude inside float64's range.  So a non-finite output is the
+# estimator's own doing, not an overflow of its inputs.  Effects of exactly
+# zero, subnormal effects and repeated values stay in the draw.
+_effects = st.floats(min_value=-1e6, max_value=1e6)
+_ses = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _summaries(draw):
+    k = draw(st.integers(1, 10))
+    return [
+        VariantSummary(
+            variant_id=f"v{i}",
+            gamma_x=draw(_effects),
+            se_x=draw(_ses),
+            gamma_y=draw(_effects),
+            se_y=draw(_ses),
+            p_x=draw(st.floats(min_value=0.0, max_value=1.0)),
+        )
+        for i in range(k)
+    ]
+
+
+_SUMMARY_ESTIMATORS = {
+    "ivw_random": lambda s: ivw(s, mode="random"),
+    "ivw_fixed": lambda s: ivw(s, mode="fixed"),
+    "egger": egger,
+    "simple_median": simple_median,
+    "weighted_median": weighted_median,
+}
+
+
+@pytest.mark.parametrize("name", list(_SUMMARY_ESTIMATORS))
+@settings(max_examples=150, deadline=None)
+@given(summaries=_summaries())
+# one instrument with a subnormal exposure effect: its ratio overflows to inf
+@example(summaries=_summ([5e-324], [1.0], se_x=1.0, se_y=1.0))
+def test_property_finite_float_or_error(name, summaries):
+    try:
+        est = _SUMMARY_ESTIMATORS[name](summaries)
+    except TsreError:
+        return
+    for value in (est.theta_hat, est.se):
+        assert type(value) is float
+        assert np.isfinite(value)

@@ -275,6 +275,17 @@ class TestGrmIO:
         with pytest.raises(DataError, match="magic"):
             load_grm(path)
 
+    @pytest.mark.parametrize("m_effective", [0, -5])
+    def test_variant_count_below_one_rejected(self, m_effective):
+        with pytest.raises(DataError, match=f"m_effective >= 1, got {m_effective}"):
+            Grm(n=2, lower_triangle=np.array([1.0, 0.25, 1.0]), m_effective=m_effective)
+
+    def test_zero_variant_header_rejected(self, tmp_path):
+        path = tmp_path / "a.grm"
+        path.write_bytes(b"GRM1" + struct.pack("<QQ", 2, 0) + np.ones(3).astype("<f8").tobytes())
+        with pytest.raises(DataError, match="a.grm: GRM header has m_effective=0"):
+            load_grm(path)
+
     def test_truncated_triangle_rejected(self, tmp_path):
         tri = np.array([1.0, 0.25, 1.0])
         path = tmp_path / "a.grm"

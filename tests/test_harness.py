@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsre import harness
+from tsre import harness, kernels
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
@@ -140,23 +140,31 @@ class TestRunScenario:
         assert np.isnan(res.mean) and np.isnan(res.sd_mc)
         assert res.estimates.size == 0
 
-    def test_tsre_builds_no_grm(self, monkeypatch, real_data):
+    def test_tsre_builds_no_grm(self, monkeypatch, real_data, tmp_path):
         # with fewer or more variants than individuals, every tsre fit of a
-        # replicate, and one on a subset in estimate_real, works from the
-        # standardized genotypes
-        def no_grm(std):
-            raise AssertionError("compute_grm called")
+        # replicate, and every one in estimate_real with or without a --grm
+        # file, works from the standardized genotypes
+        gpath, xpath, ypath, *_ = real_data
+        grm_path = tmp_path / "a.grm"
+        save_grm(compute_grm(standardize(load_genotypes(gpath))), grm_path)
+
+        def no_grm(*args):
+            raise AssertionError("GRM built or reduced")
 
         monkeypatch.setattr(harness, "compute_grm", no_grm)
-        jobs = [("tsre", "all"), ("tsre", "top:5"), ("tsre", "pval:0.05")]
+        monkeypatch.setattr(kernels, "pair_sums", no_grm)
+        selections = ("all", "top:5", "pval:0.05")
+        jobs = [("tsre", selection) for selection in selections]
         wide = _tiny_cfg(n=30, m_a=40)
         assert wide.m_total > wide.n
         for cfg in (_tiny_cfg(), wide):
             for res in run_scenario(cfg, ReplicationSpec(reps=3, seed=5), jobs=jobs):
                 assert res.reps_failed == 0
-        gpath, xpath, ypath, *_ = real_data
-        for selection in ("top:5", "pval:0.05"):
-            estimate_real(gpath, xpath, ypath, method="tsre", selection=selection)
+        for selection in selections:
+            for path in (None, grm_path):
+                estimate_real(
+                    gpath, xpath, ypath, method="tsre", selection=selection, grm_path=path
+                )
 
     def test_bad_jobs_rejected(self):
         cfg = _tiny_cfg()
@@ -266,7 +274,7 @@ class TestReproduceTable:
 
 class TestPhenotypeIO:
     @pytest.mark.parametrize(
-        "names", [["a", "b", "c"], ['"a', "a,b", " b"]], ids=["plain", "quoted"]
+        "names", [["a", "b", "c"], ['"a', "a,b", " b\r"]], ids=["plain", "quoted"]
     )
     def test_round_trip(self, tmp_path, names):
         path = tmp_path / "p.csv"
@@ -378,7 +386,7 @@ class TestEstimateReal:
 
     @pytest.mark.parametrize("selection", [None, "top:5"])
     def test_precomputed_grm_matches_recomputation(self, real_data, tmp_path, selection):
-        # a subset selection fits on its own genotype columns and ignores the file
+        # the file is checked, then left unused: tsre fits on the genotypes
         gpath, xpath, ypath, *_ = real_data
         std = standardize(load_genotypes(gpath))
         grm_path = tmp_path / "a.grm"

@@ -49,7 +49,7 @@ from .simulate import (
     save_scenario,
 )
 from .sumstats import (
-    VariantSummary,
+    SUMMARY_DTYPE,
     load_summaries,
     per_variant_regression,
     save_summaries,
@@ -91,7 +91,7 @@ __all__ = [
     "heritability",
     "save_scenario",
     "load_scenario",
-    "VariantSummary",
+    "SUMMARY_DTYPE",
     "per_variant_regression",
     "select_top_k",
     "select_by_pvalue",

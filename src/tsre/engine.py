@@ -148,8 +148,13 @@ def moment_diagnostic(a: Grm, x, y, theta: float) -> tuple[float, float]:
     the centered GRM entry and the centered pair residual
     e_ij = (X_i Y_j + Y_i X_j)/2 - theta * X_i X_j, and z is mean divided by
     the pair-sample standard error.  At theta_hat of tsre_estimate the mean
-    vanishes identically (the estimator's normal equation).
+    vanishes identically (the estimator's normal equation).  The pair
+    residual spread needs the GRM entries themselves, so a must be a Grm.
     """
+    if not isinstance(a, Grm):
+        raise TypeError(
+            f"moment_diagnostic needs a Grm, got {type(a).__name__}; build one with compute_grm"
+        )
     if a.n < 2:
         raise DataError(f"need at least 2 individuals, got {a.n}")
     xc, yc = centre_traits(a.n, x, y)

@@ -1,10 +1,11 @@
 """Classic instrumental-variable estimators on summary statistics.
 
-All summary-based estimators consume VariantSummary rows and return an
-Estimate.  Standard errors of the median estimators come from a parametric
-bootstrap; the inverse-variance weighted (IVW) estimator offers fixed- and
-random-effect standard errors, where the random-effect version inflates the
-fixed se by the square root of the Cochran overdispersion factor.
+All summary-based estimators take a sumstats.SUMMARY_DTYPE record array, or
+a list of its rows, and return an Estimate.  Standard errors of the median
+estimators come from a parametric bootstrap; the inverse-variance weighted
+(IVW) estimator offers fixed- and random-effect standard errors, where the
+random-effect version inflates the fixed se by the square root of the
+Cochran overdispersion factor.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError, centre_traits
-from .sumstats import VariantSummary
 
 __all__ = [
     "Estimate",
@@ -51,14 +51,11 @@ class Estimate:
             raise EstimationError(f"{self.method}: non-finite theta_hat or se")
 
 
-def _unpack(summaries: list[VariantSummary]):
-    if not summaries:
+def _unpack(summaries):
+    if len(summaries) == 0:
         raise EstimationError("no instruments supplied")
-    gx = np.array([s.gamma_x for s in summaries])
-    se_x = np.array([s.se_x for s in summaries])
-    gy = np.array([s.gamma_y for s in summaries])
-    se_y = np.array([s.se_y for s in summaries])
-    return gx, se_x, gy, se_y
+    s = np.asarray(summaries)
+    return s["gamma_x"], s["se_x"], s["gamma_y"], s["se_y"]
 
 
 def _outcome_weights(se_y: np.ndarray) -> np.ndarray:
@@ -95,7 +92,7 @@ def tsls(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
     return Estimate(method="tsls", theta_hat=theta, se=float(np.sqrt(sigma2 / denom)), n_iv=k)
 
 
-def ivw(summaries: list[VariantSummary], mode: str = "random") -> Estimate:
+def ivw(summaries, mode: str = "random") -> Estimate:
     """Inverse-variance weighted estimator with weights 1/se_y^2.
 
     mode "fixed" keeps the analytic fixed-effect standard error; "random"
@@ -133,7 +130,7 @@ def ivw(summaries: list[VariantSummary], mode: str = "random") -> Estimate:
     )
 
 
-def egger(summaries: list[VariantSummary]) -> Estimate:
+def egger(summaries) -> Estimate:
     """Weighted regression of gamma_y on gamma_x with a free intercept.
 
     Exposure effects are oriented non-negative first (flipping the matched
@@ -173,7 +170,7 @@ def egger(summaries: list[VariantSummary]) -> Estimate:
     )
 
 
-def _ratio_inputs(summaries: list[VariantSummary]):
+def _ratio_inputs(summaries):
     gx, se_x, gy, se_y = _unpack(summaries)
     keep = gx != 0.0
     if not keep.any():
@@ -216,7 +213,7 @@ def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
     return float(np.std(est, ddof=1))
 
 
-def simple_median(summaries: list[VariantSummary], rng=None) -> Estimate:
+def simple_median(summaries, rng=None) -> Estimate:
     """Median of the per-variant ratio estimates.
 
     Variants with a zero exposure effect carry no ratio information and are
@@ -231,7 +228,7 @@ def simple_median(summaries: list[VariantSummary], rng=None) -> Estimate:
     return Estimate(method="simple_median", theta_hat=theta, se=se, n_iv=gx.size)
 
 
-def weighted_median(summaries: list[VariantSummary], rng=None) -> Estimate:
+def weighted_median(summaries, rng=None) -> Estimate:
     """Interpolated 50th weighted percentile of the ratio estimates.
 
     Weights are gamma_x^2 / se_y^2.  Ratios are sorted, cumulative weights

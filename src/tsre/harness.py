@@ -41,12 +41,7 @@ from .genotype import (
     standardize,
 )
 from .simulate import ScenarioConfig, sample_effects, generate_phenotypes
-from .sumstats import (
-    VariantSummary,
-    per_variant_regression,
-    select_by_pvalue,
-    select_top_k,
-)
+from .sumstats import per_variant_regression, select_by_pvalue, select_top_k
 
 __all__ = [
     "ReplicationSpec",
@@ -155,12 +150,12 @@ def _check_jobs(jobs: list[tuple[str, str]]) -> None:
         parse_selection(selection)
 
 
-def _select(summaries: list[VariantSummary], selection: str) -> list[int] | None:
+def _select(summaries: np.recarray, selection: str) -> list[int] | None:
     """Indices picked by a selection, or None for 'all'.
 
-    Summaries come in standardized column order, so the indices are also
-    the genotype columns of the picked variants.  A p-value threshold that
-    keeps no variant is an EstimationError.
+    The summary rows come in standardized column order, so the indices are
+    also the genotype columns of the picked variants.  A p-value threshold
+    that keeps no variant is an EstimationError.
     """
     kind, value = parse_selection(selection)
     if kind == "all":
@@ -196,7 +191,7 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:
-        selected = summaries if cols is None else [summaries[i] for i in cols]
+        selected = summaries if cols is None else summaries[cols]
         return _SUMMARY_METHODS[tag](selected, rng_for)
     if tag == "tsls":
         # A column copy even for 'all': the copy is Fortran-ordered, and 2SLS on

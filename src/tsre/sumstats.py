@@ -2,15 +2,15 @@
 
 Each variant is regressed marginally against the centered exposure and the
 centered outcome (slope through the origin, residual df = n - 2, matching a
-regression with intercept on uncentered data).  Selection operates purely on
-the resulting summary rows, so downstream estimators can run from a summary
-CSV with no genotype access.
+regression with intercept on uncentered data).  The summaries are one
+record array of SUMMARY_DTYPE, a row per variant whose fields read as
+attributes (s[k].gamma_x).  Selection operates purely on its fields, so
+downstream estimators can run from a summary CSV with no genotype access.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -19,7 +19,7 @@ from .errors import DataError, EstimationError, centre_traits, finite_float, rea
 from .genotype import StandardizedGenotypes
 
 __all__ = [
-    "VariantSummary",
+    "SUMMARY_DTYPE",
     "per_variant_regression",
     "select_top_k",
     "select_by_pvalue",
@@ -27,17 +27,17 @@ __all__ = [
     "load_summaries",
 ]
 
-_CSV_HEADER = ["variant_id", "gamma_x", "se_x", "gamma_y", "se_y", "p_x"]
-
-
-@dataclass
-class VariantSummary:
-    variant_id: str
-    gamma_x: float
-    se_x: float
-    gamma_y: float
-    se_y: float
-    p_x: float
+# One row per variant; the field names are also the summary CSV header.
+SUMMARY_DTYPE = np.dtype(
+    [
+        ("variant_id", object),
+        ("gamma_x", np.float64),
+        ("se_x", np.float64),
+        ("gamma_y", np.float64),
+        ("se_y", np.float64),
+        ("p_x", np.float64),
+    ]
+)
 
 
 def _marginal(z: np.ndarray, gram: np.ndarray, trait: np.ndarray, n: int):
@@ -49,8 +49,9 @@ def _marginal(z: np.ndarray, gram: np.ndarray, trait: np.ndarray, n: int):
 
 def per_variant_regression(
     std: StandardizedGenotypes, x: np.ndarray, y: np.ndarray
-) -> list[VariantSummary]:
-    """Marginal slope, standard error, and exposure p-value for every variant."""
+) -> np.recarray:
+    """Marginal slope, standard error, and exposure p-value for every variant,
+    as a SUMMARY_DTYPE record array in the column order of std."""
     n = std.n
     if n < 3:
         raise EstimationError("per-variant regression needs at least 3 individuals")
@@ -61,26 +62,19 @@ def per_variant_regression(
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.abs(gx) / se_x
     p_x = 2.0 * stdtr(n - 2, -tstat)
-    return [
-        VariantSummary(
-            variant_id=vid,
-            gamma_x=float(gx[k]),
-            se_x=float(se_x[k]),
-            gamma_y=float(gy[k]),
-            se_y=float(se_y[k]),
-            p_x=float(p_x[k]),
-        )
-        for k, vid in enumerate(std.variant_ids)
-    ]
+    # an object array of the ids: a str array would drop trailing NULs
+    ids = np.array(std.variant_ids, dtype=object)
+    return np.rec.fromarrays([ids, gx, se_x, gy, se_y, p_x], dtype=SUMMARY_DTYPE)
 
 
-def select_top_k(summaries: list[VariantSummary], k: int) -> list[int]:
+def select_top_k(summaries, k: int) -> list[int]:
     """Indices of the k smallest exposure p-values.
 
-    Ties are broken by larger |gamma_x|, then by lower index.  Asking for
-    more variants than exist returns everything with a warning.
+    summaries is a SUMMARY_DTYPE array or a list of its rows.  Ties are
+    broken by larger |gamma_x|, then by lower index.  Asking for more
+    variants than exist returns everything with a warning.
     """
-    if not summaries:
+    if len(summaries) == 0:
         raise DataError("cannot select from an empty summary list")
     if k < 1:
         raise DataError("k must be at least 1")
@@ -90,32 +84,34 @@ def select_top_k(summaries: list[VariantSummary], k: int) -> list[int]:
             stacklevel=2,
         )
         k = len(summaries)
-    p = np.array([s.p_x for s in summaries])
-    mag = np.array([abs(s.gamma_x) for s in summaries])
-    order = np.lexsort((np.arange(len(summaries)), -mag, p))
-    return [int(i) for i in order[:k]]
+    s = np.asarray(summaries)
+    order = np.lexsort((np.arange(s.size), -np.abs(s["gamma_x"]), s["p_x"]))
+    return order[:k].tolist()
 
 
-def select_by_pvalue(summaries: list[VariantSummary], alpha: float) -> list[int]:
+def select_by_pvalue(summaries, alpha: float) -> list[int]:
     """Indices with exposure p-value below alpha, in original order."""
-    if not summaries:
+    if len(summaries) == 0:
         raise DataError("cannot select from an empty summary list")
     if not 0.0 < alpha <= 1.0:
         raise DataError("selection threshold must lie in (0, 1]")
-    return [k for k, s in enumerate(summaries) if s.p_x < alpha]
+    return np.flatnonzero(np.asarray(summaries)["p_x"] < alpha).tolist()
 
 
-def save_summaries(summaries: list[VariantSummary], path) -> None:
+def save_summaries(summaries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(fh, _CSV_HEADER, map(astuple, summaries))
+        write_csv(fh, SUMMARY_DTYPE.names, np.asarray(summaries).tolist())
 
 
-def load_summaries(path) -> list[VariantSummary]:
+def load_summaries(path) -> np.recarray:
     rows = read_csv(path)
     header = next(rows)
-    if header != _CSV_HEADER:
+    if tuple(header) != SUMMARY_DTYPE.names:
         raise DataError(f"{path}: unexpected summary header {header}")
-    return [
-        VariantSummary(ident, *(finite_float(text, path, lineno) for text in numbers))
-        for lineno, (ident, *numbers) in rows
-    ]
+    return np.rec.fromrecords(
+        [
+            (ident, *(finite_float(text, path, lineno) for text in numbers))
+            for lineno, (ident, *numbers) in rows
+        ],
+        dtype=SUMMARY_DTYPE,
+    )

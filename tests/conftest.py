@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsre.genotype import GenotypeMatrix, compute_grm, standardize
+from tsre.sumstats import SUMMARY_DTYPE
 
 
 def packed_to_dense(tri: np.ndarray, n: int) -> np.ndarray:
@@ -35,6 +36,14 @@ def random_standardized(rng, n, m):
         individual_ids=[f"i{r}" for r in range(n)],
     )
     return standardize(gm)
+
+
+def assert_same_summaries(got, want):
+    """Two summary record arrays agree: ids exactly, every float field bit for bit."""
+    assert got.dtype == want.dtype
+    assert got.variant_id.tolist() == want.variant_id.tolist()
+    for name in SUMMARY_DTYPE.names[1:]:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def random_grm(rng, n, m):

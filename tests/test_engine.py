@@ -291,6 +291,14 @@ class TestMomentDiagnostic:
         assert math.isfinite(mean)
         assert z == 0.0 or math.isinf(z)
 
+    def test_genotypes_rejected_before_any_work(self, rng):
+        # tsre_estimate and pair_moments take genotypes; the diagnostic needs
+        # the GRM entries and says how to build them
+        std = random_standardized(rng, 50, 20)
+        x = rng.normal(size=50)
+        with pytest.raises(TypeError, match="Grm.*compute_grm"):
+            moment_diagnostic(std, x, 0.3 * x + rng.normal(size=50), 0.3)
+
 
 # hypothesis strategies: modest sizes, well-conditioned values
 _floats = st.floats(

@@ -14,37 +14,21 @@ from tsre.estimators import (
     tsls,
     weighted_median,
 )
-from tsre.sumstats import VariantSummary
+from tsre.sumstats import SUMMARY_DTYPE
 
 from conftest import random_standardized
 
 
 def _summ(gx, gy, se_x=0.1, se_y=0.1):
-    return [
-        VariantSummary(
-            variant_id=f"v{k}",
-            gamma_x=float(a),
-            se_x=se_x,
-            gamma_y=float(b),
-            se_y=se_y,
-            p_x=0.01,
-        )
-        for k, (a, b) in enumerate(zip(gx, gy))
-    ]
+    return _summ_w(gx, gy, np.full(len(gx), se_y), se_x=se_x)
 
 
-def _summ_w(gx, gy, se_y):
-    return [
-        VariantSummary(
-            variant_id=f"v{k}",
-            gamma_x=float(a),
-            se_x=0.1,
-            gamma_y=float(b),
-            se_y=float(s),
-            p_x=0.01,
-        )
-        for k, (a, b, s) in enumerate(zip(gx, gy, se_y))
-    ]
+def _summ_w(gx, gy, se_y, se_x=0.1):
+    """A summary record array with the given effects and outcome standard errors."""
+    return np.rec.fromrecords(
+        [(f"v{k}", a, se_x, b, s, 0.01) for k, (a, b, s) in enumerate(zip(gx, gy, se_y))],
+        dtype=SUMMARY_DTYPE,
+    )
 
 
 class TestTsls:
@@ -163,6 +147,14 @@ class TestIvw:
     def test_empty_rejected(self):
         with pytest.raises(EstimationError):
             ivw([])
+        with pytest.raises(EstimationError):
+            ivw(_summ([0.5], [0.2])[:0])
+
+    def test_list_of_rows_matches_array(self):
+        summ = _summ_w([0.5, -0.3, 0.8], [0.2, -0.1, 0.35], [0.1, 0.2, 0.15])
+        rows = [summ[i] for i in (2, 0, 1)]
+        assert ivw(rows) == ivw(summ[[2, 0, 1]])
+        assert egger(rows) == egger(summ[[2, 0, 1]])
 
 
 class TestEgger:
@@ -343,17 +335,20 @@ _ses = st.floats(min_value=1e-6, max_value=1e6)
 @st.composite
 def _summaries(draw):
     k = draw(st.integers(1, 10))
-    return [
-        VariantSummary(
-            variant_id=f"v{i}",
-            gamma_x=draw(_effects),
-            se_x=draw(_ses),
-            gamma_y=draw(_effects),
-            se_y=draw(_ses),
-            p_x=draw(st.floats(min_value=0.0, max_value=1.0)),
-        )
-        for i in range(k)
-    ]
+    return np.rec.fromrecords(
+        [
+            (
+                f"v{i}",
+                draw(_effects),
+                draw(_ses),
+                draw(_effects),
+                draw(_ses),
+                draw(st.floats(min_value=0.0, max_value=1.0)),
+            )
+            for i in range(k)
+        ],
+        dtype=SUMMARY_DTYPE,
+    )
 
 
 _SUMMARY_ESTIMATORS = {

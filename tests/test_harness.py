@@ -31,7 +31,7 @@ from tsre.harness import (
     save_phenotype,
 )
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
-from tsre.sumstats import VariantSummary, per_variant_regression
+from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression
 
 from conftest import packed_to_dense
 
@@ -76,10 +76,10 @@ class TestSelectionSpecs:
             assert default_selection(tag) == "top:20"
 
     def test_select_picks_columns(self):
-        summ = [
-            VariantSummary(f"v{k}", 1.0, 0.1, 0.5, 0.1, p)
-            for k, p in enumerate([0.5, 0.01, 0.2])
-        ]
+        summ = np.rec.fromrecords(
+            [(f"v{k}", 1.0, 0.1, 0.5, 0.1, p) for k, p in enumerate([0.5, 0.01, 0.2])],
+            dtype=SUMMARY_DTYPE,
+        )
         assert _select(summ, "all") is None
         assert _select(summ, "top:2") == [1, 2]
         assert _select(summ, "pval:0.05") == [1]

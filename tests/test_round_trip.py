@@ -1,16 +1,22 @@
-"""Save-then-load is the identity for every file format the package writes."""
+"""Save-then-load is the identity for every file format the package writes,
+and every loader turns any other file into typed, finite data or a DataError."""
 
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsre.errors import DataError
 from tsre.genotype import GenotypeMatrix, Grm, load_genotypes, load_grm, save_genotypes, save_grm
 from tsre.harness import load_phenotype, save_phenotype
-from tsre.sumstats import VariantSummary, load_summaries, save_summaries
+from tsre.sumstats import SUMMARY_DTYPE, load_summaries, save_summaries
+
+from conftest import assert_same_summaries
 
 # Any text without surrogates (which UTF-8 cannot encode): commas, quotes,
 # line breaks, spaces and the empty string included.
@@ -73,14 +79,16 @@ def _summaries(draw):
     k = draw(st.integers(1, 6))
     ids = draw(_unique_ids(k))
     rows = draw(st.lists(st.tuples(*[_finite] * 5), min_size=k, max_size=k))
-    return [VariantSummary(ident, *row) for ident, row in zip(ids, rows)]
+    return np.rec.fromrecords(
+        [(ident, *row) for ident, row in zip(ids, rows)], dtype=SUMMARY_DTYPE
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(_summaries())
 def test_summaries(summaries):
     back = _round_trip(save_summaries, load_summaries, summaries, "s.csv")
-    assert [repr(s) for s in back] == [repr(s) for s in summaries]
+    assert_same_summaries(back, summaries)
 
 
 @st.composite
@@ -100,3 +108,111 @@ def test_grm(grm):
     assert (back.n, back.m_effective) == (grm.n, grm.m_effective)
     assert back.lower_triangle.dtype == np.float64
     assert back.lower_triangle.tobytes() == grm.lower_triangle.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Loaders on arbitrary input
+# ---------------------------------------------------------------------------
+
+# CSV-shaped text: a well-formed file for one loader, then up to two of its
+# values swapped for ones that are no dosage or no finite float, and up to
+# two of its tokens replaced, removed or added from a list of header words,
+# ids, values and the characters a CSV reader trips on.
+_IDS = ["a", "b", "rs1", "", '"a,b"', '"x""y"', "\x00", "\u00e9"]
+_FLOATS = ["0", "0.5", "-2.5e-3", "3", '"2"', " 1"]
+_GOOD = {"genotypes": ["0", "1", "2"], "phenotype": _FLOATS, "summaries": _FLOATS}
+_BAD = ["3", "-1", "1.0", "nan", "inf", "-inf", "1e400", "", "x", "\ufeff"]
+_HEADERS = {
+    "genotypes": ["id", "rs1", "rs2"],
+    "phenotype": ["id", "value"],
+    "summaries": list(SUMMARY_DTYPE.names),
+}
+_OTHERS = ["id", "value", *SUMMARY_DTYPE.names, *_IDS, *_BAD, ",", '"', "\n", "\r\n", "\r"]
+
+
+@st.composite
+def _csv_text(draw, name):
+    header = _HEADERS[name]
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=n, max_size=n, unique=True))
+    rows = [header] + [
+        [ident] + [draw(st.sampled_from(_GOOD[name])) for _ in header[1:]] for ident in ids
+    ]
+    tokens = []
+    for row in rows:
+        for k, cell in enumerate(row):
+            tokens += [cell, "," if k < len(row) - 1 else "\n"]
+    values = [2 * (r * len(header) + c) for r in range(1, n + 1) for c in range(1, len(header))]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens[draw(st.sampled_from(values))] = draw(st.sampled_from(_BAD))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["replace", "remove", "add"]))
+        if edit == "remove":
+            del tokens[k]
+        else:
+            tokens[k:k + (edit == "replace")] = [draw(st.sampled_from(_OTHERS))]
+    return "".join(tokens).encode("utf-8")
+
+
+@st.composite
+def _grm_bytes(draw):
+    """The GRM magic, a header of any n and m_effective, then doubles (NaN
+    and inf among them) mostly as many as the triangle holds, or raw bytes."""
+    n = draw(st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)))
+    m = draw(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)))
+    size = n * (n + 1) // 2 if n <= 4 else 0
+    count = max(draw(st.sampled_from([size, size, size - 1, size + 1])), 0)
+    doubles = draw(st.lists(st.floats(), min_size=count, max_size=count))
+    tail = draw(st.one_of(st.just(struct.pack(f"<{count}d", *doubles)), st.binary(max_size=96)))
+    return b"GRM1" + struct.pack("<QQ", n, m) + tail
+
+
+def _check_genotypes(gm):
+    assert gm.dosages.dtype == np.int8
+    assert gm.dosages.shape == (len(gm.individual_ids), len(gm.variant_ids))
+    assert np.isin(gm.dosages, (0, 1, 2)).all()
+
+
+def _check_phenotype(pheno):
+    ids, values = pheno
+    assert values.dtype == np.float64
+    assert values.shape == (len(ids),)
+    assert np.isfinite(values).all()
+
+
+def _check_summaries(summ):
+    assert summ.dtype == np.dtype((np.record, SUMMARY_DTYPE))
+    for name in SUMMARY_DTYPE.names[1:]:
+        assert np.isfinite(summ[name]).all()
+
+
+def _check_grm(grm):
+    assert grm.lower_triangle.dtype == np.float64
+    assert grm.lower_triangle.shape == (grm.n * (grm.n + 1) // 2,)
+    assert np.isfinite(grm.lower_triangle).all()
+    assert grm.m_effective >= 1
+
+
+_LOADERS = {
+    "genotypes": (load_genotypes, _check_genotypes, _csv_text("genotypes")),
+    "phenotype": (load_phenotype, _check_phenotype, _csv_text("phenotype")),
+    "summaries": (load_summaries, _check_summaries, _csv_text("summaries")),
+    "grm": (load_grm, _check_grm, _grm_bytes()),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOADERS))
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_loader_returns_finite_typed_data_or_data_error(name, data, tmp_path):
+    load, check, shaped = _LOADERS[name]
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=200), shaped)))
+    try:
+        loaded = load(path)
+    except DataError:
+        return
+    check(loaded)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from tsre.errors import DataError, EstimationError
 from tsre.sumstats import (
-    VariantSummary,
+    SUMMARY_DTYPE,
     load_summaries,
     per_variant_regression,
     save_summaries,
@@ -14,7 +14,7 @@ from tsre.sumstats import (
     select_top_k,
 )
 
-from conftest import random_standardized
+from conftest import assert_same_summaries, random_standardized
 
 
 def _ols_with_intercept(g, trait):
@@ -45,6 +45,15 @@ class TestPerVariantRegression:
             assert abs(s.se_x - se_x) < 1e-10
             assert abs(s.se_y - se_y) < 1e-10
             assert abs(s.p_x - px) < 1e-10
+
+    def test_returns_a_record_array(self, rng):
+        std = random_standardized(rng, 20, 4)
+        summ = per_variant_regression(std, rng.normal(size=20), rng.normal(size=20))
+        assert isinstance(summ, np.recarray)
+        assert summ.dtype == np.dtype((np.record, SUMMARY_DTYPE))
+        assert summ.shape == (4,)
+        assert summ[0].variant_id == "v0"
+        assert summ[2].gamma_x == summ["gamma_x"][2]
 
     def test_ids_follow_input_order(self, rng):
         std = random_standardized(rng, 20, 4)
@@ -78,28 +87,29 @@ class TestPerVariantRegression:
                 per_variant_regression(std, rng.normal(size=20), x)
 
 
-def _summary(vid, p, gx=1.0):
-    return VariantSummary(
-        variant_id=vid, gamma_x=gx, se_x=0.1, gamma_y=0.5, se_y=0.1, p_x=p
+def _summaries(p, gx=None):
+    """A summary record array with exposure p-values p and effects gx (default 1)."""
+    gx = [1.0] * len(p) if gx is None else gx
+    return np.rec.fromrecords(
+        [(f"v{k}", g, 0.1, 0.5, 0.1, pk) for k, (g, pk) in enumerate(zip(gx, p))],
+        dtype=SUMMARY_DTYPE,
     )
 
 
 class TestSelection:
     def test_top_k_orders_by_pvalue(self):
-        summ = [_summary("a", 0.5), _summary("b", 0.01), _summary("c", 0.2)]
+        summ = _summaries([0.5, 0.01, 0.2])
         assert select_top_k(summ, 2) == [1, 2]
+        # a list of the rows selects the same
+        assert select_top_k(list(summ), 2) == [1, 2]
 
     def test_top_k_tie_breaks_by_effect_size_then_index(self):
-        summ = [
-            _summary("a", 0.1, gx=0.5),
-            _summary("b", 0.1, gx=-2.0),
-            _summary("c", 0.1, gx=0.5),
-        ]
+        summ = _summaries([0.1, 0.1, 0.1], gx=[0.5, -2.0, 0.5])
         assert select_top_k(summ, 1) == [1]
         assert select_top_k(summ, 2) == [1, 0]
 
     def test_top_k_oversized_request_warns_and_returns_all(self):
-        summ = [_summary("a", 0.5), _summary("b", 0.01)]
+        summ = _summaries([0.5, 0.01])
         with pytest.warns(UserWarning, match="only 2"):
             got = select_top_k(summ, 5)
         assert sorted(got) == [0, 1]
@@ -108,24 +118,29 @@ class TestSelection:
         with pytest.raises(DataError):
             select_top_k([], 1)
         with pytest.raises(DataError):
-            select_top_k([_summary("a", 0.5)], 0)
+            select_top_k(_summaries([0.5])[:0], 1)
+        with pytest.raises(DataError):
+            select_top_k(_summaries([0.5]), 0)
 
     def test_pvalue_selection_keeps_original_order(self):
-        summ = [_summary("a", 0.001), _summary("b", 0.9), _summary("c", 0.003)]
+        summ = _summaries([0.001, 0.9, 0.003])
         assert select_by_pvalue(summ, 0.01) == [0, 2]
         assert select_by_pvalue(summ, 1.0) == [0, 1, 2]
+        assert select_by_pvalue(list(summ), 0.01) == [0, 2]
 
     def test_pvalue_threshold_validation(self):
-        summ = [_summary("a", 0.5)]
+        summ = _summaries([0.5])
         with pytest.raises(DataError):
             select_by_pvalue(summ, 0.0)
         with pytest.raises(DataError):
             select_by_pvalue(summ, 1.5)
         with pytest.raises(DataError):
             select_by_pvalue([], 0.05)
+        with pytest.raises(DataError):
+            select_by_pvalue(summ[:0], 0.05)
 
     def test_threshold_is_strict(self):
-        summ = [_summary("a", 0.05), _summary("b", 0.049)]
+        summ = _summaries([0.05, 0.049])
         assert select_by_pvalue(summ, 0.05) == [1]
 
 
@@ -138,7 +153,7 @@ class TestSummaryIO:
         path = tmp_path / "summ.csv"
         save_summaries(summ, path)
         back = load_summaries(path)
-        assert back == summ
+        assert_same_summaries(back, summ)
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -43,7 +43,6 @@ from .simulate import (
     PhenotypePair,
     ScenarioConfig,
     generate_phenotypes,
-    heritability,
     load_scenario,
     sample_effects,
     save_scenario,
@@ -62,6 +61,7 @@ from .theory import (
     bias_egger,
     bias_ivw,
     bias_tsre,
+    heritability,
     moments_from_config,
 )
 

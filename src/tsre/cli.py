@@ -27,15 +27,16 @@ from .harness import (
     reproduce_table,
     save_phenotype,
 )
-from .simulate import (
-    ScenarioConfig,
-    sample_effects,
-    generate_phenotypes,
-    heritability,
-    load_scenario,
-)
+from .simulate import generate_phenotypes, group_layout, load_scenario, sample_effects
 from .genotype import simulate_genotypes
-from .theory import asymptotic_var_tsre, bias_egger, bias_ivw, bias_tsre, moments_from_config
+from .theory import (
+    asymptotic_var_tsre,
+    bias_egger,
+    bias_ivw,
+    bias_tsre,
+    heritability,
+    moments_from_config,
+)
 
 __all__ = ["main"]
 
@@ -107,7 +108,7 @@ def _cmd_simulate(args) -> int:
     save_phenotype(os.path.join(args.out, "exposure.csv"), gm.individual_ids, pheno.x)
     save_phenotype(os.path.join(args.out, "outcome.csv"), gm.individual_ids, pheno.y)
 
-    layout = effects.group_layout
+    layout = group_layout(cfg)
     beta = np.zeros(cfg.m_total)
     alpha = np.zeros(cfg.m_total)
     beta[slice(*layout["b"])] = effects.beta_b

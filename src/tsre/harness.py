@@ -600,8 +600,6 @@ def _align(gm: GenotypeMatrix, exposure, outcome):
     """Match phenotype rows to genotype rows by individual id."""
     exp_ids, exp_vals = exposure
     out_ids, out_vals = outcome
-    if gm.individual_ids is None:
-        raise DataError("genotype matrix has no individual ids to align on")
     geno_index = {ident: i for i, ident in enumerate(gm.individual_ids)}
     missing = [i for i in exp_ids if i not in geno_index]
     missing += [i for i in out_ids if i not in geno_index]

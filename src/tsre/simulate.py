@@ -13,6 +13,9 @@ correlation rho_e; rho_e > 0 plays the role of an unmeasured confounder
 shared by both traits.  Exposure effects can follow a two-component mixture:
 a fraction p_strong of the variants in the groups named by strong_groups get
 effects from N(mu_strong, sigma_strong^2) instead of the weak distribution.
+
+This module only draws.  The population quantities of a scenario (effect
+moments, heritability, closed-form bias and variance) live in `tsre.theory`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EstimationError, open_text
+from .errors import ConfigError, DataError, open_text
 from .genotype import StandardizedGenotypes
 
 __all__ = [
@@ -32,8 +35,6 @@ __all__ = [
     "PhenotypePair",
     "sample_effects",
     "generate_phenotypes",
-    "heritability",
-    "exposure_moments",
     "load_scenario",
     "save_scenario",
 ]
@@ -108,13 +109,13 @@ class ScenarioConfig:
 
 @dataclass
 class EffectSet:
-    """Per-variant effect draws plus the column layout of the four groups."""
+    """Per-variant effect draws of one replicate; `group_layout(cfg)` gives
+    the genotype columns they act on."""
 
     beta_b: np.ndarray
     beta_c: np.ndarray
     alpha_c: np.ndarray
     alpha_d: np.ndarray
-    group_layout: dict[str, tuple[int, int]]
 
 
 @dataclass
@@ -160,26 +161,19 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
             strong_c = np.sort(rng.permutation(cfg.m_c)[:k])
             beta_c[strong_c] = rng.normal(cfg.mu_strong, cfg.sigma_strong, size=k)
 
-    return EffectSet(
-        beta_b=beta_b,
-        beta_c=beta_c,
-        alpha_c=alpha_c,
-        alpha_d=alpha_d,
-        group_layout=group_layout(cfg),
-    )
+    return EffectSet(beta_b=beta_b, beta_c=beta_c, alpha_c=alpha_c, alpha_d=alpha_d)
 
 
 def generate_phenotypes(
     std: StandardizedGenotypes, effects: EffectSet, cfg: ScenarioConfig, rng
 ) -> PhenotypePair:
     """Build the exposure/outcome pair on the standardized genotype scale."""
-    layout = effects.group_layout
-    m_expected = max(stop for _, stop in layout.values())
-    if std.m != m_expected:
+    if std.m != cfg.m_total:
         raise DataError(
             f"standardized matrix has {std.m} columns but the effect layout expects "
-            f"{m_expected} (monomorphic columns were dropped?)"
+            f"{cfg.m_total} (monomorphic columns were dropped?)"
         )
+    layout = group_layout(cfg)
     z = std.values
     b0, b1 = layout["b"]
     c0, c1 = layout["c"]
@@ -196,55 +190,6 @@ def generate_phenotypes(
     x = genetic_x + e_x
     y = cfg.theta * x + genetic_y + e_y
     return PhenotypePair(x=x, y=y)
-
-
-def _mixture_second_moment(mu_weak, sigma_weak, cfg: ScenarioConfig, strong: bool):
-    weak = mu_weak**2 + sigma_weak**2
-    if not strong or cfg.p_strong == 0:
-        return weak
-    strong_moment = cfg.mu_strong**2 + cfg.sigma_strong**2
-    return (1.0 - cfg.p_strong) * weak + cfg.p_strong * strong_moment
-
-
-def exposure_moments(cfg: ScenarioConfig) -> dict[str, float]:
-    """Population moments of the effect distributions implied by a scenario.
-
-    Means and second moments account for the strong/weak mixture; the
-    beta_c * alpha_c cross moment reflects that strong replacement draws are
-    independent of alpha_c.
-    """
-    strong_b = "b" in cfg.strong_groups
-    strong_c = "c" in cfg.strong_groups
-    p = cfg.p_strong
-    e_bb2 = _mixture_second_moment(cfg.mu_gb, cfg.sigma_gb, cfg, strong_b)
-    e_bc2 = _mixture_second_moment(cfg.mu_gc_x, cfg.sigma_gc_x, cfg, strong_c)
-    e_bb = (1 - p) * cfg.mu_gb + p * cfg.mu_strong if strong_b and p > 0 else cfg.mu_gb
-    e_bc = (1 - p) * cfg.mu_gc_x + p * cfg.mu_strong if strong_c and p > 0 else cfg.mu_gc_x
-    weak_cross = cfg.rho_gc * cfg.sigma_gc_x * cfg.sigma_gc_y + cfg.mu_gc_x * cfg.mu_gc_y
-    if strong_c and p > 0:
-        e_bcac = (1 - p) * weak_cross + p * cfg.mu_strong * cfg.mu_gc_y
-    else:
-        e_bcac = weak_cross
-    return {
-        "e_bb": e_bb,
-        "e_bc": e_bc,
-        "e_bb2": e_bb2,
-        "e_bc2": e_bc2,
-        "e_ac": cfg.mu_gc_y,
-        "e_ac2": cfg.mu_gc_y**2 + cfg.sigma_gc_y**2,
-        "e_ad2": cfg.mu_gd**2 + cfg.sigma_gd**2,
-        "e_bcac": e_bcac,
-    }
-
-
-def heritability(cfg: ScenarioConfig) -> float:
-    """Fraction of exposure variance explained by genetics."""
-    mom = exposure_moments(cfg)
-    genetic = cfg.m_b * mom["e_bb2"] + cfg.m_c * mom["e_bc2"]
-    total = genetic + cfg.sigma2_ex
-    if total <= 0:
-        raise EstimationError("heritability undefined: total exposure variance is zero")
-    return genetic / total
 
 
 # Value parser per scenario key, from the field annotations (strings under

@@ -2,7 +2,10 @@
 
 These are pure-arithmetic population formulas, parameterized by the effect
 moments of the four variant groups.  They double as independent oracles for
-the Monte-Carlo harness and as a quick power calculator.
+the Monte-Carlo harness and as a quick power calculator.  This module is the
+one place that turns a `ScenarioConfig` into population quantities: the
+effect moments (`moments_from_config`) and the heritability of the exposure.
+`tsre.simulate` only draws effects and phenotypes.
 """
 
 from __future__ import annotations
@@ -10,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, EstimationError
-from .simulate import ScenarioConfig, exposure_moments
+from .simulate import ScenarioConfig
 
 __all__ = [
     "MomentParams",
     "moments_from_config",
+    "heritability",
     "bias_tsre",
     "bias_ivw",
     "bias_egger",
@@ -46,7 +50,6 @@ class MomentParams:
     var_beta: float
     sigma2_ex: float
     sigma2_ey: float
-    theta: float
     n: int
 
     def __post_init__(self):
@@ -74,16 +77,34 @@ class MomentParams:
 def moments_from_config(cfg: ScenarioConfig) -> MomentParams:
     """Translate a simulation scenario into the population effect moments.
 
-    The strong/weak mixture enters both the second moments and the pooled
-    Var(beta); the strong replacement draws are independent of alpha_c, so
-    they contribute mu_strong * E(alpha_c) to the cross moment.
+    The strong/weak mixture enters both the exposure-effect moments and the
+    pooled Var(beta); the strong replacement draws are independent of
+    alpha_c, so they contribute mu_strong * E(alpha_c) to the cross moment.
     """
     cfg.validate()
-    mom = exposure_moments(cfg)
+    p = cfg.p_strong
+
+    def mix(weak, strong, group):
+        # a fraction p of the group's exposure effects is drawn strong
+        if p > 0 and group in cfg.strong_groups:
+            return (1 - p) * weak + p * strong
+        return weak
+
+    strong2 = cfg.mu_strong**2 + cfg.sigma_strong**2
+    e_bb = mix(cfg.mu_gb, cfg.mu_strong, "b")
+    e_bc = mix(cfg.mu_gc_x, cfg.mu_strong, "c")
+    e_bb2 = mix(cfg.mu_gb**2 + cfg.sigma_gb**2, strong2, "b")
+    e_bc2 = mix(cfg.mu_gc_x**2 + cfg.sigma_gc_x**2, strong2, "c")
+    weak_cross = cfg.rho_gc * cfg.sigma_gc_x * cfg.sigma_gc_y + cfg.mu_gc_x * cfg.mu_gc_y
+    if p > 0 and "c" in cfg.strong_groups:
+        # not mix(): p * (mu_strong * mu_gc_y) would round differently
+        e_bcac = (1 - p) * weak_cross + p * cfg.mu_strong * cfg.mu_gc_y
+    else:
+        e_bcac = weak_cross
     m_bc = cfg.m_b + cfg.m_c
     if m_bc > 0:
-        mean_beta = (cfg.m_b * mom["e_bb"] + cfg.m_c * mom["e_bc"]) / m_bc
-        second_beta = (cfg.m_b * mom["e_bb2"] + cfg.m_c * mom["e_bc2"]) / m_bc
+        mean_beta = (cfg.m_b * e_bb + cfg.m_c * e_bc) / m_bc
+        second_beta = (cfg.m_b * e_bb2 + cfg.m_c * e_bc2) / m_bc
         var_beta = second_beta - mean_beta**2
     else:
         var_beta = 0.0
@@ -92,28 +113,41 @@ def moments_from_config(cfg: ScenarioConfig) -> MomentParams:
         m_b=cfg.m_b,
         m_c=cfg.m_c,
         m_d=cfg.m_d,
-        e_bb2=mom["e_bb2"],
-        e_bc2=mom["e_bc2"],
-        e_ac2=mom["e_ac2"],
-        e_ad2=mom["e_ad2"],
-        e_bcac=mom["e_bcac"],
-        e_bc=mom["e_bc"],
-        e_ac=mom["e_ac"],
+        e_bb2=e_bb2,
+        e_bc2=e_bc2,
+        e_ac2=cfg.mu_gc_y**2 + cfg.sigma_gc_y**2,
+        e_ad2=cfg.mu_gd**2 + cfg.sigma_gd**2,
+        e_bcac=e_bcac,
+        e_bc=e_bc,
+        e_ac=cfg.mu_gc_y,
         var_beta=var_beta,
         sigma2_ex=cfg.sigma2_ex,
         sigma2_ey=cfg.sigma2_ey,
-        theta=cfg.theta,
         n=cfg.n,
     )
 
 
+def _genetic_variance(p: MomentParams) -> float:
+    """Genetic part of Var(X): m_b*E(beta_b^2) + m_c*E(beta_c^2)."""
+    return p.m_b * p.e_bb2 + p.m_c * p.e_bc2
+
+
 def _genetic_denominator(p: MomentParams) -> float:
-    den = p.m_b * p.e_bb2 + p.m_c * p.e_bc2
+    den = _genetic_variance(p)
     if den <= 0:
         raise EstimationError(
             "no genetic signal: m_b*E(beta_b^2) + m_c*E(beta_c^2) is zero"
         )
     return den
+
+
+def heritability(cfg: ScenarioConfig) -> float:
+    """Fraction of exposure variance explained by genetics."""
+    genetic = _genetic_variance(moments_from_config(cfg))
+    total = genetic + cfg.sigma2_ex
+    if total <= 0:
+        raise EstimationError("heritability undefined: total exposure variance is zero")
+    return genetic / total
 
 
 def bias_tsre(p: MomentParams) -> float:

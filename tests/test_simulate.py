@@ -9,14 +9,13 @@ from tsre.errors import ConfigError, DataError
 from tsre.genotype import simulate_genotypes, standardize
 from tsre.simulate import (
     ScenarioConfig,
-    exposure_moments,
     generate_phenotypes,
     group_layout,
-    heritability,
     load_scenario,
     sample_effects,
     save_scenario,
 )
+from tsre.theory import heritability, moments_from_config
 
 
 def _cfg(**kw):
@@ -146,7 +145,7 @@ class TestGeneratePhenotypes:
         rng = np.random.default_rng(8)
         eff = sample_effects(cfg, rng)
         ph = generate_phenotypes(std, eff, cfg, rng)
-        lay = eff.group_layout
+        lay = group_layout(cfg)
         z = std.values
         want_x = z[:, slice(*lay["b"])] @ eff.beta_b + z[:, slice(*lay["c"])] @ eff.beta_c
         want_y = (
@@ -197,10 +196,9 @@ class TestMoments:
         )
         reps = 4000
         rng = np.random.default_rng(17)
-        bb, bb2, bc, bc2, ac, ac2, ad2, bcac = [], [], [], [], [], [], [], []
+        bb2, bc, bc2, ac, ac2, ad2, bcac = [], [], [], [], [], [], []
         for _ in range(reps):
             eff = sample_effects(cfg, rng)
-            bb.append(eff.beta_b.mean())
             bb2.append(np.mean(eff.beta_b**2))
             bc.append(eff.beta_c.mean())
             bc2.append(np.mean(eff.beta_c**2))
@@ -208,20 +206,28 @@ class TestMoments:
             ac2.append(np.mean(eff.alpha_c**2))
             ad2.append(np.mean(eff.alpha_d**2))
             bcac.append(np.mean(eff.beta_c * eff.alpha_c))
-        mom = exposure_moments(cfg)
-        assert abs(np.mean(bb) - mom["e_bb"]) < 5e-4
-        assert abs(np.mean(bb2) - mom["e_bb2"]) < 5e-4
-        assert abs(np.mean(bc) - mom["e_bc"]) < 5e-4
-        assert abs(np.mean(bc2) - mom["e_bc2"]) < 5e-4
-        assert abs(np.mean(ac) - mom["e_ac"]) < 5e-4
-        assert abs(np.mean(ac2) - mom["e_ac2"]) < 5e-4
-        assert abs(np.mean(ad2) - mom["e_ad2"]) < 5e-4
-        assert abs(np.mean(bcac) - mom["e_bcac"]) < 5e-4
+        mom = moments_from_config(cfg)
+        assert abs(np.mean(bb2) - mom.e_bb2) < 5e-4
+        assert abs(np.mean(bc) - mom.e_bc) < 5e-4
+        assert abs(np.mean(bc2) - mom.e_bc2) < 5e-4
+        assert abs(np.mean(ac) - mom.e_ac) < 5e-4
+        assert abs(np.mean(ac2) - mom.e_ac2) < 5e-4
+        assert abs(np.mean(ad2) - mom.e_ad2) < 5e-4
+        assert abs(np.mean(bcac) - mom.e_bcac) < 5e-4
 
     def test_heritability_formula(self):
         cfg = _cfg(m_b=100, m_c=0, m_a=0, m_d=0, sigma_gb=0.1, mu_gb=0.0, sigma2_ex=1.0)
         # genetic variance = 100 * 0.01 = 1, so h2 = 1 / (1 + 1)
         assert abs(heritability(cfg) - 0.5) < 1e-12
+
+    def test_heritability_rejects_invalid_config(self):
+        with pytest.raises(ConfigError, match="n must be at least 2"):
+            heritability(ScenarioConfig(n=1, m_b=10, sigma_gb=0.1))
+
+    def test_heritability_without_genetic_groups_is_zero(self):
+        # null and outcome-only variants explain none of the exposure
+        cfg = ScenarioConfig(m_a=10, m_d=5, sigma_gd=0.1, sigma2_ex=1.0)
+        assert heritability(cfg) == 0.0
 
     def test_empirical_exposure_variance(self):
         cfg = _cfg(n=40000, m_a=0, m_b=50, m_c=0, m_d=0, sigma_gb=0.1, sigma2_ex=1.0)

@@ -33,7 +33,6 @@ def _params(**kw):
         var_beta=0.004375,
         sigma2_ex=2.0,
         sigma2_ey=2.0,
-        theta=0.3,
         n=300,
     )
     base.update(kw)
@@ -165,33 +164,35 @@ class TestMomentsFromConfig:
         assert p.var_beta == pytest.approx(second - mean**2)
 
     def test_pooled_variance_against_effect_sampling(self):
-        cfg = ScenarioConfig(
-            n=100,
-            m_b=500,
-            m_c=400,
-            sigma_gb=0.07,
-            mu_gb=0.02,
-            mu_gc_x=0.1,
-            sigma_gc_x=0.05,
-            sigma_gc_y=0.06,
-            rho_gc=0.5,
-            p_strong=0.25,
-            mu_strong=0.3,
-            sigma_strong=0.04,
-            strong_groups="bc",
-        )
-        p = moments_from_config(cfg)
-        rng = np.random.default_rng(8)
-        pooled = []
-        cross = []
-        for _ in range(800):
-            eff = sample_effects(cfg, rng)
-            pooled.append(np.concatenate([eff.beta_b, eff.beta_c]))
-            cross.append(np.mean(eff.beta_c * eff.alpha_c))
-        allb = np.concatenate(pooled)
-        # population variance of the pooled exposure effects
-        assert abs(allb.var() - p.var_beta) < 5e-4
-        assert abs(np.mean(cross) - p.e_bcac) < 5e-4
+        # "b" keeps the strong mixture mean of group b checked through var_beta
+        for strong_groups in ("bc", "b"):
+            cfg = ScenarioConfig(
+                n=100,
+                m_b=500,
+                m_c=400,
+                sigma_gb=0.07,
+                mu_gb=0.02,
+                mu_gc_x=0.1,
+                sigma_gc_x=0.05,
+                sigma_gc_y=0.06,
+                rho_gc=0.5,
+                p_strong=0.25,
+                mu_strong=0.3,
+                sigma_strong=0.04,
+                strong_groups=strong_groups,
+            )
+            p = moments_from_config(cfg)
+            rng = np.random.default_rng(8)
+            pooled = []
+            cross = []
+            for _ in range(800):
+                eff = sample_effects(cfg, rng)
+                pooled.append(np.concatenate([eff.beta_b, eff.beta_c]))
+                cross.append(np.mean(eff.beta_c * eff.alpha_c))
+            allb = np.concatenate(pooled)
+            # population variance of the pooled exposure effects
+            assert abs(allb.var() - p.var_beta) < 5e-4, strong_groups
+            assert abs(np.mean(cross) - p.e_bcac) < 5e-4, strong_groups
 
     def test_invalid_config_propagates(self):
         with pytest.raises(ConfigError):

@@ -27,7 +27,7 @@ from .harness import (
     reproduce_table,
     save_phenotype,
 )
-from .simulate import generate_phenotypes, group_layout, load_scenario, sample_effects
+from .simulate import generate_phenotypes, load_scenario, sample_effects
 from .genotype import simulate_genotypes
 from .theory import (
     asymptotic_var_tsre,
@@ -108,22 +108,13 @@ def _cmd_simulate(args) -> int:
     save_phenotype(os.path.join(args.out, "exposure.csv"), gm.individual_ids, pheno.x)
     save_phenotype(os.path.join(args.out, "outcome.csv"), gm.individual_ids, pheno.y)
 
-    layout = group_layout(cfg)
-    beta = np.zeros(cfg.m_total)
-    alpha = np.zeros(cfg.m_total)
-    beta[slice(*layout["b"])] = effects.beta_b
-    beta[slice(*layout["c"])] = effects.beta_c
-    alpha[slice(*layout["c"])] = effects.alpha_c
-    alpha[slice(*layout["d"])] = effects.alpha_d
-    group = np.repeat(
-        list("abcd"), [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]
-    )
+    group = np.repeat(list("abcd"), [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]).tolist()
     effects_path = os.path.join(args.out, "effects.csv")
     with open(effects_path, "w", encoding="utf-8", newline="") as fh:
         write_csv(
             fh,
             ["variant_id", "group", "beta", "alpha"],
-            zip(gm.variant_ids, group.tolist(), beta.tolist(), alpha.tolist()),
+            zip(gm.variant_ids, group, effects.beta.tolist(), effects.alpha.tolist()),
         )
     for name in ("genotypes.csv", "exposure.csv", "outcome.csv", "effects.csv"):
         print(os.path.join(args.out, name))

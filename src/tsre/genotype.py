@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,12 +224,15 @@ def save_genotypes(gm: GenotypeMatrix, path) -> None:
 
 
 def load_genotypes(path) -> GenotypeMatrix:
-    """Read a dosage CSV; every cell must be one of 0, 1, 2."""
+    """Read a dosage CSV: each variant named once, every cell 0, 1 or 2."""
     rows = read_csv(path)
     header = next(rows)
     if header[:1] != ["id"] or len(header) < 2:
         raise DataError(f"{path}: genotype header must be 'id' and at least one variant id")
     variant_ids = header[1:]
+    dup = next((v for v, k in Counter(variant_ids).items() if k > 1), None)
+    if dup is not None:
+        raise DataError(f"{path}: genotype header repeats variant id {dup!r}")
     ids = []
     digits = bytearray()
     for lineno, (ident, *cells) in rows:

@@ -291,11 +291,13 @@ def run_scenario(
     _check_run(spec, threads)
     _check_jobs(jobs)
     args = [(cfg, jobs, spec.seed, row_key, rep) for rep in range(spec.reps)]
-    if threads == 1:
+    # a fork-started pool forks every worker at the first submit, busy or not
+    workers = min(threads, spec.reps)
+    if workers == 1:
         per_rep = [_replicate_outcomes(a) for a in args]
     else:
-        chunk = max(1, spec.reps // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = max(1, spec.reps // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_replicate_outcomes, args, chunksize=chunk))
     results = []
     for j, (tag, selection) in enumerate(jobs):

@@ -5,8 +5,8 @@ instruments acting only on the exposure (b), pleiotropic instruments acting
 on both traits (c), and outcome-only variants (d).  Phenotypes are built on
 the standardized genotype scale:
 
-    X = Z_b beta_b + Z_c beta_c + e_x
-    Y = theta X + Z_c alpha_c + Z_d alpha_d + e_y
+    X = Z beta + e_x               (beta zero outside groups b and c)
+    Y = theta X + Z alpha + e_y    (alpha zero outside groups c and d)
 
 Residuals are mean-zero Gaussian with variances sigma2_ex and sigma2_ey and
 correlation rho_e; rho_e > 0 plays the role of an unmeasured confounder
@@ -109,13 +109,13 @@ class ScenarioConfig:
 
 @dataclass
 class EffectSet:
-    """Per-variant effect draws of one replicate; `group_layout(cfg)` gives
-    the genotype columns they act on."""
+    """Per-variant effect draws of one replicate: float64 vectors of length
+    `cfg.m_total` in genotype-column order.  `beta` (exposure) is zero
+    outside groups b and c, `alpha` (direct outcome) outside groups c and d;
+    `group_layout(cfg)` gives the columns of each group."""
 
-    beta_b: np.ndarray
-    beta_c: np.ndarray
-    alpha_c: np.ndarray
-    alpha_d: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
 
 
 @dataclass
@@ -133,35 +133,33 @@ def group_layout(cfg: ScenarioConfig) -> dict[str, tuple[int, int]]:
 def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
     """Draw the effect vectors for one replicate.
 
-    Group b effects are N(mu_gb, sigma_gb^2).  Group c draws (beta_c,
-    alpha_c) jointly from the bivariate normal with correlation rho_gc.
-    Group d effects are N(mu_gd, sigma_gd^2).  Strong assignment is a
-    deterministic count, floor(p_strong * m), of positions taken from a
-    seeded shuffle; designated exposure effects are replaced by fresh
-    N(mu_strong, sigma_strong^2) draws, which leaves alpha_c untouched and
-    removes the beta-alpha correlation inside the strong subset.
+    Group b effects are N(mu_gb, sigma_gb^2).  Group c draws (beta, alpha)
+    jointly from the bivariate normal with correlation rho_gc.  Group d
+    effects are N(mu_gd, sigma_gd^2).  Strong assignment is a deterministic
+    count, floor(p_strong * m), of positions taken from a seeded shuffle;
+    designated exposure effects are replaced by fresh N(mu_strong,
+    sigma_strong^2) draws, which leaves alpha untouched and removes the
+    beta-alpha correlation inside the strong subset.
     """
     cfg.validate()
-    beta_b = rng.normal(cfg.mu_gb, cfg.sigma_gb, size=cfg.m_b)
+    _, b, c, d = (slice(*cols) for cols in group_layout(cfg).values())
+    beta, alpha = np.zeros(cfg.m_total), np.zeros(cfg.m_total)
+    beta[b] = rng.normal(cfg.mu_gb, cfg.sigma_gb, size=cfg.m_b)
     z1 = rng.standard_normal(cfg.m_c)
     z2 = rng.standard_normal(cfg.m_c)
-    beta_c = cfg.mu_gc_x + cfg.sigma_gc_x * z1
-    alpha_c = cfg.mu_gc_y + cfg.sigma_gc_y * (
+    beta[c] = cfg.mu_gc_x + cfg.sigma_gc_x * z1
+    alpha[c] = cfg.mu_gc_y + cfg.sigma_gc_y * (
         cfg.rho_gc * z1 + math.sqrt(1.0 - cfg.rho_gc**2) * z2
     )
-    alpha_d = rng.normal(cfg.mu_gd, cfg.sigma_gd, size=cfg.m_d)
+    alpha[d] = rng.normal(cfg.mu_gd, cfg.sigma_gd, size=cfg.m_d)
 
-    if cfg.p_strong > 0:
-        if "b" in cfg.strong_groups and cfg.m_b > 0:
-            k = int(cfg.p_strong * cfg.m_b)
-            strong_b = np.sort(rng.permutation(cfg.m_b)[:k])
-            beta_b[strong_b] = rng.normal(cfg.mu_strong, cfg.sigma_strong, size=k)
-        if "c" in cfg.strong_groups and cfg.m_c > 0:
-            k = int(cfg.p_strong * cfg.m_c)
-            strong_c = np.sort(rng.permutation(cfg.m_c)[:k])
-            beta_c[strong_c] = rng.normal(cfg.mu_strong, cfg.sigma_strong, size=k)
+    for g, group in (("b", beta[b]), ("c", beta[c])):
+        if cfg.p_strong > 0 and g in cfg.strong_groups and group.size > 0:
+            k = int(cfg.p_strong * group.size)
+            strong = np.sort(rng.permutation(group.size)[:k])
+            group[strong] = rng.normal(cfg.mu_strong, cfg.sigma_strong, size=k)
 
-    return EffectSet(beta_b=beta_b, beta_c=beta_c, alpha_c=alpha_c, alpha_d=alpha_d)
+    return EffectSet(beta=beta, alpha=alpha)
 
 
 def generate_phenotypes(
@@ -173,13 +171,11 @@ def generate_phenotypes(
             f"standardized matrix has {std.m} columns but the effect layout expects "
             f"{cfg.m_total} (monomorphic columns were dropped?)"
         )
-    layout = group_layout(cfg)
-    z = std.values
-    b0, b1 = layout["b"]
-    c0, c1 = layout["c"]
-    d0, d1 = layout["d"]
-    genetic_x = z[:, b0:b1] @ effects.beta_b + z[:, c0:c1] @ effects.beta_c
-    genetic_y = z[:, c0:c1] @ effects.alpha_c + z[:, d0:d1] @ effects.alpha_d
+    _, b, c, d = (slice(*cols) for cols in group_layout(cfg).values())
+    z, beta, alpha = std.values, effects.beta, effects.alpha
+    # per-group products: Z @ beta would also multiply the zero columns
+    genetic_x = z[:, b] @ beta[b] + z[:, c] @ beta[c]
+    genetic_y = z[:, c] @ alpha[c] + z[:, d] @ alpha[d]
 
     u1 = rng.standard_normal(std.n)
     u2 = rng.standard_normal(std.n)

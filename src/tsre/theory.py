@@ -30,10 +30,10 @@ __all__ = [
 class MomentParams:
     """Effect moments consumed by the closed forms.
 
-    Second moments are raw (not central): e_bb2 = E(beta_b^2) and so on;
-    e_bcac is the cross moment E(beta_c * alpha_c); e_bc and e_ac are the
-    first moments of the group-c effects; var_beta pools groups b and c into
-    one exposure-effect population.
+    E(. | g) is a mean over the variants of group g.  Moments are raw (not
+    central): e_bb2 = E(beta^2 | b) and so on; e_bcac = E(beta * alpha | c);
+    e_bc and e_ac are the first moments of the group-c effects; var_beta
+    pools groups b and c into one exposure-effect population.
     """
 
     m_a: int
@@ -79,7 +79,7 @@ def moments_from_config(cfg: ScenarioConfig) -> MomentParams:
 
     The strong/weak mixture enters both the exposure-effect moments and the
     pooled Var(beta); the strong replacement draws are independent of
-    alpha_c, so they contribute mu_strong * E(alpha_c) to the cross moment.
+    alpha, so they contribute mu_strong * E(alpha | c) to the cross moment.
     """
     cfg.validate()
     p = cfg.p_strong
@@ -128,7 +128,7 @@ def moments_from_config(cfg: ScenarioConfig) -> MomentParams:
 
 
 def _genetic_variance(p: MomentParams) -> float:
-    """Genetic part of Var(X): m_b*E(beta_b^2) + m_c*E(beta_c^2)."""
+    """Genetic part of Var(X): m_b*E(beta^2 | b) + m_c*E(beta^2 | c)."""
     return p.m_b * p.e_bb2 + p.m_c * p.e_bc2
 
 
@@ -136,7 +136,7 @@ def _genetic_denominator(p: MomentParams) -> float:
     den = _genetic_variance(p)
     if den <= 0:
         raise EstimationError(
-            "no genetic signal: m_b*E(beta_b^2) + m_c*E(beta_c^2) is zero"
+            "no genetic signal: m_b*E(beta^2 | b) + m_c*E(beta^2 | c) is zero"
         )
     return den
 
@@ -181,8 +181,8 @@ def asymptotic_var_tsre(p: MomentParams) -> tuple[float, float]:
 
     tau2 = M * [total exposure variance] * [outcome residual variance]
            / [genetic exposure variance]^2
-    where the bracketed quantities are m_b*E(beta_b^2) + m_c*E(beta_c^2) +
-    sigma2_ex and m_c*E(alpha_c^2) + m_d*E(alpha_d^2) + sigma2_ey.
+    where the bracketed quantities are m_b*E(beta^2 | b) + m_c*E(beta^2 | c)
+    + sigma2_ex and m_c*E(alpha^2 | c) + m_d*E(alpha^2 | d) + sigma2_ey.
     """
     if p.n < 2:
         raise ConfigError("variance formula needs n >= 2")

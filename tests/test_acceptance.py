@@ -53,8 +53,9 @@ def _row(target: str, row_id: str):
 def _run_row(target, row_id, reps, seed, jobs=None):
     key, cfg, row_jobs = _row(target, row_id)
     spec = ReplicationSpec(target=target, reps=reps, seed=seed)
+    # two worker processes; replicate streams depend only on (seed, row, rep)
     results = run_scenario(
-        cfg, spec, row_key=key, row_id=row_id, jobs=jobs or row_jobs
+        cfg, spec, row_key=key, row_id=row_id, jobs=jobs or row_jobs, threads=2
     )
     return cfg, {(r.method, r.selection): r for r in results}
 
@@ -195,7 +196,7 @@ def test_closed_form_bias_matches_monte_carlo():
     spec = ReplicationSpec(target="custom", reps=200, seed=0)
     results = run_scenario(
         cfg, spec, row_key=0, row_id="custom",
-        jobs=[("tsre", "all"), ("ivw", "all")],
+        jobs=[("tsre", "all"), ("ivw", "all")], threads=2,
     )
     ok = True
     details = []

@@ -94,6 +94,23 @@ class TestGrmCommand:
         assert grm.n == 120
         np.testing.assert_allclose(grm.diagonal().mean(), 1.0, rtol=1e-12)
 
+    def test_repeated_variant_id_exits_three(self, dataset, tmp_path, capsys):
+        dup = _repeat_header_id(dataset, tmp_path)
+        out = tmp_path / "a.grm"
+        assert main(["grm", "--genotypes", str(dup), "--out", str(out)]) == 3
+        assert f"{dup}: genotype header repeats variant id 'v00003'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _repeat_header_id(dataset, tmp_path):
+    """A copy of the dataset genotypes whose header names v00003 twice."""
+    lines = (dataset / "genotypes.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    header[4] = header[3]
+    dup = tmp_path / "dup_header.csv"
+    dup.write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+    return dup
+
 
 class TestEstimateCommand:
     def _argv(self, dataset, method, *extra):
@@ -267,6 +284,15 @@ class TestEstimateCommand:
         argv[argv.index("--genotypes") + 1] = str(dup)
         assert main(argv) == 3
         assert f"line 3: duplicate id '{first}'" in capsys.readouterr().err
+
+    def test_repeated_variant_id_exits_three(self, dataset, tmp_path, capsys):
+        dup = _repeat_header_id(dataset, tmp_path)
+        argv = self._argv(dataset, "tsre")
+        argv[argv.index("--genotypes") + 1] = str(dup)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dup}: genotype header repeats variant id 'v00003'" in captured.err
 
     def test_non_finite_cutoff_exits_two(self, dataset, tmp_path, capsys):
         argv = self._argv(dataset, "tsre", "--grm-cutoff", "nan")

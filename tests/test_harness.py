@@ -119,6 +119,36 @@ class TestRunScenario:
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.ses, b.ses)
 
+    def test_workers_never_exceed_replicates(self, monkeypatch):
+        # a fork-started pool forks all max_workers processes at once, so the
+        # pool is sized by the replicate count; the fake maps in-process
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        cfg = _tiny_cfg()
+        jobs = [("tsre", "all"), ("ivw", "top:20")]
+        run_scenario(cfg, ReplicationSpec(reps=3, seed=1), jobs=jobs, threads=8)
+        assert started == [3]
+        spec = ReplicationSpec(reps=1, seed=1)
+        one = run_scenario(cfg, spec, jobs=jobs, threads=4)
+        assert started == [3]
+        for a, b in zip(one, run_scenario(cfg, spec, jobs=jobs, threads=1)):
+            assert np.array_equal(a.estimates, b.estimates)
+            assert np.array_equal(a.ses, b.ses)
+
     def test_method_subset_does_not_change_numbers(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=4, seed=7)

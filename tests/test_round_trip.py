@@ -41,7 +41,7 @@ def _genotypes(draw):
     m = draw(st.integers(1, 6))
     return GenotypeMatrix(
         dosages=draw(arrays(np.int8, (n, m), elements=st.integers(0, 2))),
-        variant_ids=draw(st.lists(_ids, min_size=m, max_size=m)),
+        variant_ids=draw(_unique_ids(m)),
         individual_ids=draw(_unique_ids(n)),
     )
 

@@ -42,6 +42,12 @@ def _cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def _by_group(cfg, eff):
+    """Group slices (beta_b, beta_c, alpha_c, alpha_d) of the effect vectors."""
+    b, c, d = (slice(*group_layout(cfg)[g]) for g in "bcd")
+    return eff.beta[b], eff.beta[c], eff.alpha[c], eff.alpha[d]
+
+
 class TestScenarioConfig:
     def test_group_layout_edges(self):
         cfg = _cfg()
@@ -86,22 +92,26 @@ class TestSampleEffects:
         cfg = _cfg()
         a = sample_effects(cfg, np.random.default_rng(9))
         b = sample_effects(cfg, np.random.default_rng(9))
-        assert a.beta_b.shape == (40,)
-        assert a.beta_c.shape == (30,)
-        assert a.alpha_c.shape == (30,)
-        assert a.alpha_d.shape == (10,)
-        for name in ("beta_b", "beta_c", "alpha_c", "alpha_d"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.beta.shape == a.alpha.shape == (85,)
+        assert a.beta.dtype == a.alpha.dtype == np.float64
+        assert [v.shape for v in _by_group(cfg, a)] == [(40,), (30,), (30,), (10,)]
+        assert np.array_equal(a.beta, b.beta) and np.array_equal(a.alpha, b.alpha)
+        # exposure effects live on groups b and c, direct outcome effects on c and d
+        lay = group_layout(cfg)
+        for vec, groups in ((a.beta, "ad"), (a.alpha, "ab")):
+            for g in groups:
+                assert not vec[slice(*lay[g])].any(), g
 
     def test_effect_moments(self):
         # one large draw; sample moments should sit near the population ones
         cfg = _cfg(m_b=60000, m_c=60000, m_d=60000)
         eff = sample_effects(cfg, np.random.default_rng(11))
-        assert abs(eff.beta_b.mean() - cfg.mu_gb) < 3e-3
-        assert abs(eff.beta_b.std() - cfg.sigma_gb) < 3e-3
-        assert abs(eff.beta_c.mean() - cfg.mu_gc_x) < 3e-3
-        assert abs(eff.alpha_c.mean() - cfg.mu_gc_y) < 3e-3
-        corr = np.corrcoef(eff.beta_c, eff.alpha_c)[0, 1]
+        beta_b, beta_c, alpha_c, _ = _by_group(cfg, eff)
+        assert abs(beta_b.mean() - cfg.mu_gb) < 3e-3
+        assert abs(beta_b.std() - cfg.sigma_gb) < 3e-3
+        assert abs(beta_c.mean() - cfg.mu_gc_x) < 3e-3
+        assert abs(alpha_c.mean() - cfg.mu_gc_y) < 3e-3
+        corr = np.corrcoef(beta_c, alpha_c)[0, 1]
         assert abs(corr - cfg.rho_gc) < 0.02
 
     def test_strong_replacement_count_and_values(self):
@@ -113,22 +123,22 @@ class TestSampleEffects:
             sigma_strong=0.0,
             strong_groups="bc",
         )
-        eff = sample_effects(cfg, np.random.default_rng(2))
+        beta_b, beta_c, _, _ = _by_group(cfg, sample_effects(cfg, np.random.default_rng(2)))
         # sigma_strong = 0 puts every strong effect exactly at mu_strong
-        strong_b = eff.beta_b == 5.0
+        strong_b = beta_b == 5.0
         assert strong_b.sum() == 10
-        assert (eff.beta_c == 5.0).sum() == 8
-        assert np.all(np.abs(eff.beta_b[~strong_b]) < 1.0)
+        assert (beta_c == 5.0).sum() == 8
+        assert np.all(np.abs(beta_b[~strong_b]) < 1.0)
 
     def test_strong_groups_restricts_replacement(self):
         cfg = _cfg(p_strong=0.5, mu_strong=5.0, sigma_strong=0.0, strong_groups="c")
-        eff = sample_effects(cfg, np.random.default_rng(4))
-        assert (eff.beta_b == 5.0).sum() == 0
-        assert (eff.beta_c == 5.0).sum() == 15
+        beta_b, beta_c, _, _ = _by_group(cfg, sample_effects(cfg, np.random.default_rng(4)))
+        assert (beta_b == 5.0).sum() == 0
+        assert (beta_c == 5.0).sum() == 15
 
     def test_no_strong_when_p_zero(self):
         eff = sample_effects(_cfg(mu_strong=5.0), np.random.default_rng(0))
-        assert (eff.beta_b == 5.0).sum() == 0 and (eff.beta_c == 5.0).sum() == 0
+        assert (eff.beta == 5.0).sum() == 0
 
 
 class TestGeneratePhenotypes:
@@ -145,14 +155,9 @@ class TestGeneratePhenotypes:
         rng = np.random.default_rng(8)
         eff = sample_effects(cfg, rng)
         ph = generate_phenotypes(std, eff, cfg, rng)
-        lay = group_layout(cfg)
-        z = std.values
-        want_x = z[:, slice(*lay["b"])] @ eff.beta_b + z[:, slice(*lay["c"])] @ eff.beta_c
-        want_y = (
-            cfg.theta * want_x
-            + z[:, slice(*lay["c"])] @ eff.alpha_c
-            + z[:, slice(*lay["d"])] @ eff.alpha_d
-        )
+        # the model itself: X = Z beta, Y = theta X + Z alpha
+        want_x = std.values @ eff.beta
+        want_y = cfg.theta * want_x + std.values @ eff.alpha
         np.testing.assert_allclose(ph.x, want_x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ph.y, want_y, rtol=1e-12, atol=1e-12)
 
@@ -198,14 +203,14 @@ class TestMoments:
         rng = np.random.default_rng(17)
         bb2, bc, bc2, ac, ac2, ad2, bcac = [], [], [], [], [], [], []
         for _ in range(reps):
-            eff = sample_effects(cfg, rng)
-            bb2.append(np.mean(eff.beta_b**2))
-            bc.append(eff.beta_c.mean())
-            bc2.append(np.mean(eff.beta_c**2))
-            ac.append(eff.alpha_c.mean())
-            ac2.append(np.mean(eff.alpha_c**2))
-            ad2.append(np.mean(eff.alpha_d**2))
-            bcac.append(np.mean(eff.beta_c * eff.alpha_c))
+            beta_b, beta_c, alpha_c, alpha_d = _by_group(cfg, sample_effects(cfg, rng))
+            bb2.append(np.mean(beta_b**2))
+            bc.append(beta_c.mean())
+            bc2.append(np.mean(beta_c**2))
+            ac.append(alpha_c.mean())
+            ac2.append(np.mean(alpha_c**2))
+            ad2.append(np.mean(alpha_d**2))
+            bcac.append(np.mean(beta_c * alpha_c))
         mom = moments_from_config(cfg)
         assert abs(np.mean(bb2) - mom.e_bb2) < 5e-4
         assert abs(np.mean(bc) - mom.e_bc) < 5e-4
@@ -239,7 +244,7 @@ class TestMoments:
         eff = sample_effects(cfg, rng)
         ph = generate_phenotypes(std, eff, cfg, rng)
         # realized genetic variance given the drawn betas, plus noise
-        expected = np.sum(eff.beta_b**2) + cfg.sigma2_ex
+        expected = np.sum(eff.beta**2) + cfg.sigma2_ex
         assert abs(ph.x.var() / expected - 1.0) < 0.05
 
 

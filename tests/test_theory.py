@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsre.errors import ConfigError, EstimationError
-from tsre.simulate import ScenarioConfig, sample_effects
+from tsre.simulate import ScenarioConfig, group_layout, sample_effects
 from tsre.theory import (
     MomentParams,
     asymptotic_var_tsre,
@@ -182,13 +182,15 @@ class TestMomentsFromConfig:
                 strong_groups=strong_groups,
             )
             p = moments_from_config(cfg)
+            lay = group_layout(cfg)
+            bc, c = slice(lay["b"][0], lay["c"][1]), slice(*lay["c"])
             rng = np.random.default_rng(8)
             pooled = []
             cross = []
             for _ in range(800):
                 eff = sample_effects(cfg, rng)
-                pooled.append(np.concatenate([eff.beta_b, eff.beta_c]))
-                cross.append(np.mean(eff.beta_c * eff.alpha_c))
+                pooled.append(eff.beta[bc])
+                cross.append(np.mean(eff.beta[c] * eff.alpha[c]))
             allb = np.concatenate(pooled)
             # population variance of the pooled exposure effects
             assert abs(allb.var() - p.var_beta) < 5e-4, strong_groups

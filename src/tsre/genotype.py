@@ -38,9 +38,16 @@ _PANEL_ROWS = 256
 _DOSAGES = frozenset("012")
 
 
+def _repeated(ids: list[str]) -> str | None:
+    """The first id that occurs more than once, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    return next(v for v, k in Counter(ids).items() if k > 1)
+
+
 @dataclass
 class GenotypeMatrix:
-    """Raw dosages plus variant bookkeeping."""
+    """Raw dosages plus variant bookkeeping; each variant id names one column."""
 
     dosages: np.ndarray
     variant_ids: list[str]
@@ -52,6 +59,9 @@ class GenotypeMatrix:
             raise DataError("dosage matrix must be 2-dimensional")
         if self.dosages.shape[1] != len(self.variant_ids):
             raise DataError("variant id count does not match dosage columns")
+        dup = _repeated(self.variant_ids)
+        if dup is not None:
+            raise DataError(f"variant id {dup!r} names more than one column")
 
     @property
     def n(self) -> int:
@@ -230,7 +240,7 @@ def load_genotypes(path) -> GenotypeMatrix:
     if header[:1] != ["id"] or len(header) < 2:
         raise DataError(f"{path}: genotype header must be 'id' and at least one variant id")
     variant_ids = header[1:]
-    dup = next((v for v, k in Counter(variant_ids).items() if k > 1), None)
+    dup = _repeated(variant_ids)
     if dup is not None:
         raise DataError(f"{path}: genotype header repeats variant id {dup!r}")
     ids = []

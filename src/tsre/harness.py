@@ -47,15 +47,11 @@ __all__ = [
     "ReplicationSpec",
     "ReplicateResult",
     "RealDataResult",
-    "METHOD_TAGS",
-    "TARGETS",
-    "parse_selection",
     "run_scenario",
     "reproduce_table",
     "estimate_real",
     "save_phenotype",
     "load_phenotype",
-    "builtin_rows",
 ]
 
 RESULT_HEADER = ["target", "row_id", "method", "selection", "mean", "sd_mc", "mean_se",
@@ -74,13 +70,17 @@ _METHOD_SLOTS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 _OMITTED_NOTE = "# omitted methods: divw, raps, lasso (not implemented)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicationSpec:
-    """How often to run a row: replicate count and base seed."""
+    """How often to run a row: replicate count and base seed; immutable and
+    validated when built."""
 
     target: str = "custom"
     reps: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.reps < 1:
@@ -266,8 +266,7 @@ def _aggregate(row_id, cfg, tag, selection, outcomes, reps) -> ReplicateResult:
     )
 
 
-def _check_run(spec: ReplicationSpec, threads: int) -> None:
-    spec.validate()
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ConfigError("threads must be at least 1")
 
@@ -287,8 +286,7 @@ def run_scenario(
     index), so any thread count and any method subset reproduce identical
     numbers.
     """
-    cfg.validate()
-    _check_run(spec, threads)
+    _check_threads(threads)
     _check_jobs(jobs)
     args = [(cfg, jobs, spec.seed, row_key, rep) for rep in range(spec.reps)]
     # a fork-started pool forks every worker at the first submit, busy or not
@@ -519,7 +517,7 @@ def reproduce_table(
     """
     rows = builtin_rows(target, config)
     spec = ReplicationSpec(target=target, reps=reps, seed=seed)
-    _check_run(spec, threads)
+    _check_threads(threads)
     os.makedirs(out_dir, exist_ok=True)
 
     results_path = os.path.join(out_dir, f"{target}_results.csv")

@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One simulation scenario; immutable and validated when built."""
+
     n: int = 1000
     m_a: int = 0
     m_b: int = 0
@@ -67,6 +69,9 @@ class ScenarioConfig:
     maf_low: float = 0.2
     maf_high: float = 0.3
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def m_total(self) -> int:
@@ -102,9 +107,7 @@ class ScenarioConfig:
             raise ConfigError("seed must be non-negative")
 
     def replace(self, **updates) -> "ScenarioConfig":
-        cfg = dataclasses.replace(self, **updates)
-        cfg.validate()
-        return cfg
+        return dataclasses.replace(self, **updates)
 
 
 @dataclass
@@ -141,7 +144,6 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
     sigma_strong^2) draws, which leaves alpha untouched and removes the
     beta-alpha correlation inside the strong subset.
     """
-    cfg.validate()
     _, b, c, d = (slice(*cols) for cols in group_layout(cfg).values())
     beta, alpha = np.zeros(cfg.m_total), np.zeros(cfg.m_total)
     beta[b] = rng.normal(cfg.mu_gb, cfg.sigma_gb, size=cfg.m_b)
@@ -229,6 +231,7 @@ def load_scenario(path) -> ScenarioConfig:
                 raise ConfigError(
                     f"{path}: line {lineno}: cannot parse value {text!r} for '{key}'"
                 ) from None
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+    try:
+        return ScenarioConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

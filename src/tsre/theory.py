@@ -81,7 +81,6 @@ def moments_from_config(cfg: ScenarioConfig) -> MomentParams:
     pooled Var(beta); the strong replacement draws are independent of
     alpha, so they contribute mu_strong * E(alpha | c) to the cross moment.
     """
-    cfg.validate()
     p = cfg.p_strong
 
     def mix(weak, strong, group):

@@ -75,6 +75,7 @@ class TestSimulate:
         bad.write_text("n = 120\nm_b = 10\nrho_gc = 7\n")
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: rho_gc must lie in [-1, 1]\n"
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "seed.cfg"

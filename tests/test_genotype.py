@@ -22,6 +22,14 @@ from tsre.genotype import (
 from conftest import packed_to_dense, random_standardized
 
 
+class TestGenotypeMatrix:
+    def test_repeated_variant_id_rejected(self):
+        # save_genotypes could otherwise write a header load_genotypes rejects
+        with pytest.raises(DataError, match="variant id 'v2' names more than one column"):
+            GenotypeMatrix(dosages=np.zeros((2, 4), dtype=np.int8),
+                           variant_ids=["v1", "v2", "v3", "v2"])
+
+
 class TestSimulateGenotypes:
     def test_values_and_shape(self, rng):
         gm = simulate_genotypes(50, 30, 0.2, 0.3, rng)

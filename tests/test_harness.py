@@ -1,5 +1,7 @@
 """Replication harness: seeding, aggregation, targets, and the file pipeline."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestReplicationSpec:
         ReplicationSpec(reps=1).validate()
         with pytest.raises(ConfigError):
             ReplicationSpec(reps=0).validate()
+
+    def test_checked_when_built_and_frozen(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ReplicationSpec(seed=-1)
+        spec = ReplicationSpec(reps=2)
+        with pytest.raises(FrozenInstanceError):
+            spec.reps = 0
 
 
 class TestRunScenario:

@@ -1,8 +1,10 @@
 """Save-then-load is the identity for every file format the package writes,
-and every loader turns any other file into typed, finite data or a DataError."""
+and every loader turns any other file into typed, finite data or a DataError
+(a scenario file into a valid config or a TsreError)."""
 
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsre.errors import DataError
+from tsre.errors import DataError, TsreError
 from tsre.genotype import GenotypeMatrix, Grm, load_genotypes, load_grm, save_genotypes, save_grm
 from tsre.harness import load_phenotype, save_phenotype
+from tsre.simulate import ScenarioConfig, load_scenario, save_scenario
 from tsre.sumstats import SUMMARY_DTYPE, load_summaries, save_summaries
 
 from conftest import assert_same_summaries
@@ -110,6 +113,50 @@ def test_grm(grm):
     assert back.lower_triangle.tobytes() == grm.lower_triangle.tobytes()
 
 
+@st.composite
+def _scenarios(draw):
+    """Any valid scenario, every field drawn over a wide valid range."""
+    counts = st.integers(0, 10**6)
+    sigma = st.floats(min_value=0.0, allow_infinity=False)
+    unit = st.floats(-1.0, 1.0)
+    maf = sorted(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) for _ in "lh")
+    m = [draw(counts) for _ in "abcd"]
+    if sum(m) == 0:
+        m[draw(st.integers(0, 3))] = 1
+    values = dict(zip(("m_a", "m_b", "m_c", "m_d"), m))
+    for f in fields(ScenarioConfig):
+        if f.name.startswith("sigma"):
+            values[f.name] = draw(sigma)
+        elif f.name.startswith("mu") or f.name == "theta":
+            values[f.name] = draw(_finite)
+    return ScenarioConfig(
+        n=draw(st.integers(2, 10**9)),
+        rho_gc=draw(unit),
+        rho_e=draw(unit),
+        p_strong=draw(st.floats(0.0, 1.0)),
+        strong_groups=draw(st.text("bc", max_size=3)),
+        maf_low=maf[0],
+        maf_high=maf[1],
+        seed=draw(st.integers(0, 2**64)),
+        **values,
+    )
+
+
+def _check_scenario(cfg):
+    assert isinstance(cfg, ScenarioConfig)
+    for f in fields(ScenarioConfig):
+        assert type(getattr(cfg, f.name)).__name__ == f.type, f.name
+    cfg.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios())
+def test_scenario(cfg):
+    back = _round_trip(save_scenario, load_scenario, cfg, "s.cfg")
+    _check_scenario(back)
+    assert back == cfg
+
+
 # ---------------------------------------------------------------------------
 # Loaders on arbitrary input
 # ---------------------------------------------------------------------------
@@ -166,6 +213,46 @@ def _grm_bytes(draw):
     doubles = draw(st.lists(st.floats(), min_size=count, max_size=count))
     tail = draw(st.one_of(st.just(struct.pack(f"<{count}d", *doubles)), st.binary(max_size=96)))
     return b"GRM1" + struct.pack("<QQ", n, m) + tail
+
+
+# Scenario-shaped text: a file of distinct real keys with values of their type
+# (m_b = 3 first, so most such files are valid), then up to two lines added
+# whose keys, separators and values no parser or no validation accepts.
+_GOOD_VALUES = {"int": ["0", "2", "3", "50"], "float": ["0", "0.25", "-0.5", "1", "0.3e0"],
+                "str": ["", "b", "bc"]}
+_KEYS = [f.name for f in fields(ScenarioConfig)] + ["bogus", "", "#", " m_b"]
+_VALUES = ["-1", "2.5", "-0.0", "1e400", "nan", "inf", "1_0", "0x1", "bd", "", "\u0663",
+           "7 = 8", '"1"']
+
+
+@st.composite
+def _scenario_text(draw):
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
+    keys = draw(st.lists(st.sampled_from(sorted(types)), max_size=6, unique=True))
+    lines = ["m_b = 3"] + [
+        f"{key} = {draw(st.sampled_from(_GOOD_VALUES[types[key]]))}"
+        for key in keys if key != "m_b"
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(
+            draw(st.integers(0, len(lines))),
+            draw(st.sampled_from(_KEYS)) + draw(st.sampled_from(["=", " = ", " ", "=="]))
+            + draw(st.sampled_from(_VALUES)),
+        )
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scenario_loader_returns_valid_config_or_tsre_error(data, tmp_path):
+    path = tmp_path / "input.cfg"
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=200), _scenario_text())))
+    try:
+        cfg = load_scenario(path)
+    except TsreError:
+        return
+    _check_scenario(cfg)
 
 
 def _check_genotypes(gm):

@@ -1,6 +1,7 @@
 """Scenario configuration, effect sampling, and phenotype generation."""
 
-from dataclasses import fields
+import re
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestScenarioConfig:
         assert cfg.theta == 0.3
         with pytest.raises(ConfigError):
             cfg.replace(rho_gc=1.5)
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="n must be at least 2"):
+            ScenarioConfig(n=1, m_b=1)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = _cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.rho_gc = 7.0
+        assert cfg.rho_gc == 0.6
 
     @pytest.mark.parametrize(
         "bad",
@@ -292,5 +303,5 @@ class TestScenarioIO:
     def test_invalid_config_rejected_on_load(self, tmp_path, line):
         path = tmp_path / "s.cfg"
         path.write_text(f"n = 50\nm_b = 3\n{line}\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
             load_scenario(path)

@@ -203,13 +203,16 @@ def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
-    zx = rng.standard_normal((N_BOOT, gx.size))
-    zy = rng.standard_normal((N_BOOT, gx.size))
-    bx = gx + se_x * zx
-    by = gy + se_y * zy
+    # in place, with the bits of gx + se_x * zx, gy + se_y * zy and by / bx
+    bx = rng.standard_normal((N_BOOT, gx.size))
+    by = rng.standard_normal((N_BOOT, gx.size))
+    bx *= se_x
+    bx += gx
+    by *= se_y
+    by += gy
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = by / bx
-    est = point_fn(ratios)
+        by /= bx
+    est = point_fn(by)
     return float(np.std(est, ddof=1))
 
 
@@ -224,7 +227,9 @@ def simple_median(summaries, rng=None) -> Estimate:
         rng = np.random.default_rng(0)
     gx, se_x, gy, se_y = _ratio_inputs(summaries)
     theta = float(np.median(gy / gx))
-    se = _bootstrap_se(lambda r: np.median(r, axis=1), gx, se_x, gy, se_y, rng)
+    se = _bootstrap_se(
+        lambda r: np.median(r, axis=1, overwrite_input=True), gx, se_x, gy, se_y, rng
+    )
     return Estimate(method="simple_median", theta_hat=theta, se=se, n_iv=gx.size)
 
 

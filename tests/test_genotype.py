@@ -1,10 +1,13 @@
 """Genotype simulation, standardization, GRM construction, and persistence."""
 
+import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tsre import genotype
 from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
     GenotypeMatrix,
@@ -68,6 +71,115 @@ class TestSimulateGenotypes:
             simulate_genotypes(5, 5, 0.0, 0.3, rng)
         with pytest.raises(DataError):
             simulate_genotypes(5, 5, 0.4, 0.2, rng)
+
+
+def _binomial_reference(n, m, lo, hi, seed):
+    """simulate_genotypes written with rng.binomial, and the rng it leaves."""
+    rng = np.random.default_rng(seed)
+    maf = rng.uniform(lo, hi, size=m)
+    return rng.binomial(2, maf, size=(n, m)).astype(np.int8), rng
+
+
+def _numpy_inversion(p, u):
+    """NumPy's Binomial(2, p) inversion on one uniform, as a scalar loop:
+    the count, or None where NumPy would draw a fresh uniform."""
+    if p > 0.5:
+        x = _numpy_inversion(1.0 - p, u)
+        return None if x is None else 2 - x
+    q = 1.0 - p
+    px = math.exp(2 * math.log(q))
+    x = 0
+    while u > px:
+        x += 1
+        if x > 2:
+            return None
+        u -= px
+        px = ((3 - x) * p * px) / (x * q)
+    return x
+
+
+class TestSimulateGenotypesIsNumpyBinomial:
+    """Dosages and the generator's later stream equal rng.binomial's."""
+
+    def _assert_matches(self, n, m, lo, hi, seed):
+        want, ref_rng = _binomial_reference(n, m, lo, hi, seed)
+        rng = np.random.default_rng(seed)
+        got = simulate_genotypes(n, m, lo, hi, rng).dosages
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "n,m,lo,hi",
+        [
+            (40, 30, 0.05, 0.45),  # every p below 0.5
+            (60, 50, 0.3, 0.7),  # p straddling 0.5
+            (50, 40, 0.55, 0.95),  # every p above 0.5: counts flipped
+            (30, 20, 0.5, 0.5),  # p exactly 0.5 is not flipped
+            (80, 25, 1e-9, 1e-8),  # p near zero
+            (997, 301, 0.01, 0.99),  # 870 rows per chunk: a short last chunk
+            (3, 300_001, 0.2, 0.3),  # a row wider than a chunk's cell budget
+        ],
+    )
+    def test_matches_rng_binomial(self, n, m, lo, hi, seed):
+        self._assert_matches(n, m, lo, hi, seed)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_many_small_chunks(self, monkeypatch, seed):
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)  # 6 rows of 10
+        self._assert_matches(25, 10, 0.1, 0.9, seed)
+
+    def test_redraw_path_is_rng_binomial(self, monkeypatch):
+        # NumPy redraws about one cell in 1e16, so force the fallback on
+        # every chunk: restoring the state and calling rng.binomial must
+        # reproduce both the dosages and the later stream
+        calls = []
+
+        def always(*args):
+            calls.append(1)
+            return True
+
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(genotype, "_redraw_possible", always)
+        self._assert_matches(25, 10, 0.1, 0.9, 5)
+        assert len(calls) == 5  # ceil(25 / 6) chunks
+
+    def test_redraw_check_agrees_with_numpy_loop(self):
+        # the largest uniform redraws in some columns; a chunk holding it is
+        # flagged exactly when NumPy's own loop would redraw
+        maf = np.random.default_rng(6).uniform(0.01, 0.99, size=400)
+        cuts = genotype._binomial2_cuts(maf)[1:]
+        redraws = [_numpy_inversion(p, genotype._U_MAX) is None for p in maf.tolist()]
+        assert 0 < sum(redraws) < len(redraws)
+        for k, expected in enumerate(redraws):
+            column = tuple(c[k : k + 1] for c in cuts)
+            assert genotype._redraw_possible(np.array([[0.5], [genotype._U_MAX]]), *column) == expected
+            assert not genotype._redraw_possible(np.array([[0.999]]), *column)
+
+    def test_counts_follow_numpy_loop(self):
+        # uniforms at and one ulp either side of each column's two cut points
+        # give the counts of NumPy's own loop, whichever side of 0.5 p is on
+        maf = np.random.default_rng(7).uniform(0.01, 0.99, size=50)
+        _, qn, px1, _ = genotype._binomial2_cuts(maf)
+        u = np.array(
+            [np.nextafter(edge, toward) for edge in (qn, qn + px1) for toward in (0.0, 2.0)]
+            + [qn, qn + px1]
+        )
+        got = genotype._binomial2(maf, u.shape[0], _GivenUniforms(u))
+        want = [[_numpy_inversion(p, v) for p, v in zip(maf.tolist(), row)] for row in u.tolist()]
+        assert np.array_equal(got, np.array(want, dtype=np.int8))
+
+
+class _GivenUniforms:
+    """A stand-in Generator whose random() fills in fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def random(self, out):
+        out[...] = self.u
 
 
 class TestStandardize:

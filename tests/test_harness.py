@@ -167,6 +167,48 @@ class TestRunScenario:
         assert np.array_equal(only_wm[0].estimates, wm_full.estimates)
         assert np.array_equal(only_wm[0].ses, wm_full.ses)
 
+    def test_table2_row_numbers_are_pinned(self):
+        # every estimate and se of three replicates of a builtin row, recorded
+        # when dosages came from rng.binomial and the median bootstraps were
+        # not computed in place: neither speed-up may move a single bit
+        rows = builtin_rows("table2")
+        key = next(i for i, row in enumerate(rows) if row[0] == "balanced_rho00_weak80")
+        row_id, cfg, _ = rows[key]
+        jobs = [(tag, default_selection(tag)) for tag in METHOD_TAGS]
+        spec = ReplicationSpec(target="table2", reps=3, seed=0)
+        results = run_scenario(cfg, spec, row_key=key, row_id=row_id, jobs=jobs)
+        got = {r.method: (r.estimates.tolist(), r.ses.tolist()) for r in results}
+        assert got == {
+            "sm": (
+                [0.3418740398971143, 0.2743232434605061, 0.3960140794498299],
+                [0.08940701466516393, 0.09207282671203579, 0.07518868776204636],
+            ),
+            "wm": (
+                [0.3517442749786354, 0.27474928827583667, 0.4224559796366092],
+                [0.089173430951214, 0.09217991279589259, 0.07211447174235174],
+            ),
+            "ivw": (
+                [0.32152787622709017, 0.32246273174862633, 0.3590462096728161],
+                [0.07004752968522585, 0.07838372201670354, 0.05079863573282538],
+            ),
+            "ivw_fe": (
+                [0.32152787622709017, 0.32246273174862633, 0.3590462096728161],
+                [0.05510639826411303, 0.060700424519826754, 0.05079863573282538],
+            ),
+            "egger": (
+                [0.4750368303588137, 0.3291192146257844, 0.6276338639844165],
+                [0.32824028324875565, 0.4801940976007672, 0.2653992475991973],
+            ),
+            "tsre": (
+                [0.26862720683834873, 0.31217453160927316, 0.33112666765362053],
+                [0.05522058039666572, 0.04949221739524294, 0.03638410851656296],
+            ),
+            "tsls": (
+                [0.327283674003754, 0.32002115553943045, 0.353945681656732],
+                [0.04791220965238556, 0.05367711153290034, 0.0460595609039684],
+            ),
+        }
+
     def test_failed_replicates_are_counted(self):
         # egger on two instruments always fails (needs three)
         cfg = _tiny_cfg()

@@ -65,7 +65,8 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
 
     Phenotypes are used as given (no centering here).  The relatedness sums
     come from the packed triangle of a Grm (kernels.pair_sums, a few passes
-    over its n(n+1)/2 entries), or from standardized genotypes Z of any shape
+    over its n(n+1)/2 entries), or from standardized genotypes Z of any shape,
+    held whole or streamed in column blocks (genotype module docstring),
     through Z'x, Z'y and Z'1 (kernels.genotype_pair_sums, O(nm)).  The pure
     phenotype sums come from the identities
     sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, in O(n).
@@ -76,7 +77,7 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
     if isinstance(a, Grm):
         s_axx, s_axy, s_a = kernels.pair_sums(a.lower_triangle, a.n, x, y)
     else:
-        s_axx, s_axy, s_a = kernels.genotype_pair_sums(a.values, x, y)
+        s_axx, s_axy, s_a = kernels.genotype_pair_sums(a.blocks(), x, y)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
     sx2 = float(x @ x)

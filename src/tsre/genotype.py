@@ -12,6 +12,24 @@ those of ``rng.binomial(2, maf, size=(n, m))``.  For two trials NumPy always
 inverts the CDF with one uniform per cell, drawn in C order exactly as
 ``rng.random`` draws them, so comparing each uniform with the same two cut
 points reproduces its counts at a tenth of its cost.
+
+A Monte-Carlo replicate reads its standardized genotypes from one source
+with two methods: ``blocks()`` yields the standardized matrix as column
+blocks, and ``columns(cols, order)`` copies out the columns a product needs.
+Up to _HELD_CELLS cells (n*m <= 2^23, 64 MB of float64) the source is
+``standardize(gm)``, held whole as its one block.  Above that it is a
+_StreamedGenotypes: the int8 dosages of the polymorphic columns plus their
+column means and sds, found in one pass over int8 column blocks, from which
+every pass recomputes float64 blocks of about 2^18 cells (2 MB).  A table4
+null_50000 replicate (n=1000, m=53000) then holds 53 MB of dosages and one
+2 MB block instead of a 424 MB float64 matrix.  Both routes compute through
+one helper, _centred, so a streamed value equals the held one bit for bit.
+
+Each block starts at a multiple of 64 columns.  A BLAS product over a block
+treats each column by its place in the block: in a probe, products over
+blocks starting at multiples of 8 gave the bits of the whole-matrix product
+and blocks 131 columns wide did not.  A last block one column wide joins the
+block before it, because einsum sums a lone column in another order.
 """
 
 from __future__ import annotations
@@ -43,8 +61,16 @@ __all__ = [
 _GRM_MAGIC = b"GRM1"
 _PANEL_ROWS = 256
 _DOSAGES = frozenset("012")
-# Cells per chunk of the dosage sampler: one reused 2 MB float64 buffer.
+# Cells per chunk of the dosage sampler (one reused 2 MB float64 buffer) and
+# per column block of a streamed standardized matrix.
 _CHUNK_CELLS = 1 << 18
+# Largest n*m whose standardized float64 matrix a replicate holds whole.
+_HELD_CELLS = 1 << 23
+# Column blocks start at multiples of this (see the module docstring).
+_BLOCK_ALIGN = 64
+# Fewer rows go straight to rng.binomial: per-column cut points computed in
+# Python would cost more than the uniforms save.
+_MIN_ROWS = 8
 # The largest double Generator.random returns.
 _U_MAX = 1.0 - 2.0**-53
 
@@ -99,6 +125,52 @@ class StandardizedGenotypes:
     def m(self) -> int:
         return self.values.shape[1]
 
+    def blocks(self):
+        """The standardized matrix as column blocks: values is the one block."""
+        return (self.values,)
+
+    def columns(self, cols, order: str) -> np.ndarray:
+        """Columns cols (a slice or an index list) in memory order "C" or "F";
+        a column slice in "C" order is a view of values."""
+        picked = self.values[:, cols]
+        if isinstance(cols, slice) and order == "C":
+            return picked  # each row of a column slice is contiguous
+        return np.asarray(picked, order=order)
+
+
+@dataclass
+class _StreamedGenotypes:
+    """Standardized genotypes kept as the int8 dosages of the polymorphic
+    columns plus their column means and sds.  Every pass recomputes float64
+    columns from the dosages with the arithmetic of standardize."""
+
+    dosages: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
+    variant_ids: list[str]
+    dropped_variants: list[int]
+
+    @property
+    def n(self) -> int:
+        return self.dosages.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.dosages.shape[1]
+
+    def blocks(self):
+        """Standardized column blocks of about _CHUNK_CELLS cells, in order."""
+        for c0, c1 in _column_blocks(self.n, self.m):
+            yield self.columns(slice(c0, c1), "C")
+
+    def columns(self, cols, order: str) -> np.ndarray:
+        """Columns cols (a slice or an index list) as a new array in memory
+        order "C" or "F"; its bits are those of standardize(gm).values[:, cols]."""
+        values = self.dosages[:, cols].astype(np.float64, order=order)
+        values -= self.mean[cols]
+        values /= self.sd[cols]
+        return values
+
 
 @dataclass
 class Grm:
@@ -131,14 +203,18 @@ def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> 
     bit-identical to ``rng.uniform`` followed by ``rng.binomial(2, maf,
     size=(n, m)).astype(np.int8)``: NumPy draws each Binomial(2, p) cell by
     inversion from one uniform, and ``_binomial2`` draws the same uniforms
-    and applies the same cut points (see the module docstring).
+    and applies the same cut points (see the module docstring).  Fewer than
+    _MIN_ROWS rows are drawn by rng.binomial itself.
     """
     if n < 1 or m < 1:
         raise DataError("need at least one individual and one variant")
     if not (0.0 < maf_low <= maf_high < 1.0):
         raise DataError("allele frequency range must satisfy 0 < low <= high < 1")
     maf = rng.uniform(maf_low, maf_high, size=m)
-    dosages = _binomial2(maf, n, rng)
+    if n < _MIN_ROWS:
+        dosages = rng.binomial(2, maf, size=(n, m)).astype(np.int8)
+    else:
+        dosages = _binomial2(maf, n, rng)
     width = max(5, len(str(m)))
     ids = [f"v{k:0{width}d}" for k in range(1, m + 1)]
     return GenotypeMatrix(dosages=dosages, variant_ids=ids)
@@ -213,21 +289,58 @@ def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:
     Monomorphic columns carry no information and would divide by zero, so
     they are dropped and their original indices recorded.
     """
-    values = gm.dosages.astype(np.float64)
-    values -= values.mean(axis=0)
-    sd = np.sqrt(np.einsum("ij,ij->j", values, values) / gm.n)
-    keep = sd > 0.0
-    dropped = np.flatnonzero(~keep)
-    if not keep.any():
-        raise DataError("all variants are monomorphic; nothing to standardize")
-    if dropped.size:
+    values, _, sd = _centred(gm.dosages)
+    keep, kept_ids, dropped = _polymorphic(gm, sd)
+    if dropped:
         # a boolean column selection comes back Fortran-ordered
         values = np.ascontiguousarray(values[:, keep])
     values /= sd[keep]
+    return StandardizedGenotypes(values=values, variant_ids=kept_ids, dropped_variants=dropped)
+
+
+def _centred(dosages: np.ndarray):
+    """(values, mean, sd): the dosages as float64 centred on their column
+    means, those means, and the column sds with the 1/n denominator."""
+    values = dosages.astype(np.float64)
+    mean = values.mean(axis=0)
+    values -= mean
+    sd = np.sqrt(np.einsum("ij,ij->j", values, values) / len(values))
+    return values, mean, sd
+
+
+def _polymorphic(gm: GenotypeMatrix, sd: np.ndarray):
+    """(keep mask, kept ids, dropped indices) for column sds sd; a DataError
+    when every column is monomorphic."""
+    keep = sd > 0.0
+    if not keep.any():
+        raise DataError("all variants are monomorphic; nothing to standardize")
     kept_ids = [v for v, k in zip(gm.variant_ids, keep) if k]
-    return StandardizedGenotypes(
-        values=values, variant_ids=kept_ids, dropped_variants=dropped.tolist()
-    )
+    return keep, kept_ids, np.flatnonzero(~keep).tolist()
+
+
+def _column_blocks(n: int, m: int) -> list[tuple[int, int]]:
+    """Column ranges [c0, c1) of about _CHUNK_CELLS cells, each starting at a
+    multiple of _BLOCK_ALIGN; a last range one column wide joins the one
+    before it (see the module docstring)."""
+    width = max(1, _CHUNK_CELLS // (n * _BLOCK_ALIGN)) * _BLOCK_ALIGN
+    starts = list(range(0, m, width))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [m]))
+
+
+def _standardized_source(gm: GenotypeMatrix) -> StandardizedGenotypes | _StreamedGenotypes:
+    """The standardized genotypes of gm as a replicate reads them:
+    standardize(gm) up to _HELD_CELLS cells, and above that a
+    _StreamedGenotypes whose means and sds come from one pass over int8
+    column blocks."""
+    if gm.n * gm.m <= _HELD_CELLS:
+        return standardize(gm)
+    stats = [_centred(gm.dosages[:, c0:c1])[1:] for c0, c1 in _column_blocks(gm.n, gm.m)]
+    mean, sd = (np.concatenate(part) for part in zip(*stats))
+    keep, kept_ids, dropped = _polymorphic(gm, sd)
+    dosages = np.compress(keep, gm.dosages, axis=1) if dropped else gm.dosages
+    return _StreamedGenotypes(dosages, mean[keep], sd[keep], kept_ids, dropped)
 
 
 def _grm_panel(values: np.ndarray, tri: np.ndarray, r0: int, r1: int, m_eff: int) -> None:

@@ -32,6 +32,7 @@ from .genotype import (
     GenotypeMatrix,
     Grm,
     StandardizedGenotypes,
+    _standardized_source,
     check_cutoff,
     compute_grm,
     filter_related,
@@ -186,21 +187,23 @@ _SUMMARY_METHODS = {
 def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
     """Run one checked (method, selection) pair.
 
-    tsre fits on the standardized genotypes of the selected variants in
-    O(nm), building no GRM (engine.pair_moments).
+    std is a standardized-genotype source, held whole or streamed in column
+    blocks (genotype module docstring).  tsre fits on the standardized
+    genotypes of the selected variants in O(nm), building no GRM
+    (engine.pair_moments).
     """
     cols = _select(summaries, selection)
     if tag in _SUMMARY_METHODS:
         selected = summaries if cols is None else summaries[cols]
         return _SUMMARY_METHODS[tag](selected, rng_for)
     if tag == "tsls":
-        # A column copy even for 'all': the copy is Fortran-ordered, and 2SLS on
-        # the C-ordered std.values differs in the last bits.
-        return tsls(std.values[:, np.arange(std.m) if cols is None else cols], x, y)
+        # A Fortran-ordered column copy even for 'all': 2SLS on C-ordered
+        # columns differs in the last bits, and a streamed source has no
+        # matrix to hand over anyway.
+        return tsls(std.columns(np.arange(std.m) if cols is None else cols, "F"), x, y)
     if cols is not None:
         std = StandardizedGenotypes(
-            values=np.ascontiguousarray(std.values[:, cols]),
-            variant_ids=[std.variant_ids[c] for c in cols],
+            values=std.columns(cols, "C"), variant_ids=[std.variant_ids[c] for c in cols]
         )
     return tsre_estimate(std, x, y)
 
@@ -209,13 +212,15 @@ def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
     Returns a list aligned with the (method, selection) jobs; entries are
-    (theta_hat, se) or None for a failed estimator.
+    (theta_hat, se) or None for a failed estimator.  Above 2^23 cells the
+    standardized genotypes are streamed from the int8 dosages in column
+    blocks, so a replicate never holds its n x m float64 matrix.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
     try:
-        std = standardize(gm)
+        std = _standardized_source(gm)
         pheno = generate_phenotypes(std, sample_effects(cfg, rng), cfg, rng)
         summaries = per_variant_regression(std, pheno.x, pheno.y)
     except TsreError:

@@ -8,7 +8,6 @@ A_ii sits at i(i+3)/2.  No reduction materialises the pair-level design.
 """
 
 import numpy as np
-from scipy.linalg.blas import dspmv
 
 
 def pair_sums(tri, n, x, y):
@@ -20,6 +19,9 @@ def pair_sums(tri, n, x, y):
     matrix-vector product A x comes from BLAS, because a row-major packed
     lower triangle is the column-major packed upper one that dspmv reads.
     """
+    # imported here, its one use: scipy.linalg adds about 50 ms to `import tsre`
+    from scipy.linalg.blas import dspmv
+
     idx = np.arange(n, dtype=np.int64)
     d = tri[idx * (idx + 3) // 2]
     ax = dspmv(n, 1.0, tri, x, lower=0)
@@ -33,15 +35,24 @@ def genotype_pair_sums(z, x, y):
     """The three sums of pair_sums for A = Z Z' / m, from the n x m
     standardized genotypes Z in O(n m), for any shape.
 
-    With u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is
-    half of its whole-matrix form minus the diagonal terms:
+    z is Z itself or an iterable of its column blocks, in order.  With
+    u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is half
+    of its whole-matrix form minus the diagonal terms:
     s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2 and
-    s_a = (w.w/m - sum d)/2.  The three products are one (3 x n) @ Z, which
-    streams Z once in its own row-major layout.
+    s_a = (w.w/m - sum d)/2.  The three products are one (3 x n) @ block per
+    block, which streams each block once in its own row-major layout; the
+    row norms add up block by block.
     """
-    n, m = z.shape
-    u, v, w = np.stack((x, y, np.ones(n))) @ z
-    d = np.einsum("ij,ij->i", z, z) / m
+    blocks = (z,) if isinstance(z, np.ndarray) else z
+    xy1 = np.stack((x, y, np.ones(x.size)))
+    uvw = []
+    d = np.zeros(x.size)
+    for block in blocks:
+        uvw.append(xy1 @ block)
+        d += np.einsum("ij,ij->i", block, block)
+    u, v, w = np.concatenate(uvw, axis=1)
+    m = u.size
+    d /= m
     s_axx = (u @ u / m - d @ (x * x)) / 2.0
     s_axy = (u @ v / m - d @ (x * y)) / 2.0
     s_a = (w @ w / m - d.sum()) / 2.0

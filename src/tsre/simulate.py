@@ -167,17 +167,21 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
 def generate_phenotypes(
     std: StandardizedGenotypes, effects: EffectSet, cfg: ScenarioConfig, rng
 ) -> PhenotypePair:
-    """Build the exposure/outcome pair on the standardized genotype scale."""
+    """Build the exposure/outcome pair on the standardized genotype scale.
+
+    std is any standardized-genotype source (genotype module docstring);
+    only the columns of groups b, c and d are read."""
     if std.m != cfg.m_total:
         raise DataError(
             f"standardized matrix has {std.m} columns but the effect layout expects "
             f"{cfg.m_total} (monomorphic columns were dropped?)"
         )
     _, b, c, d = (slice(*cols) for cols in group_layout(cfg).values())
-    z, beta, alpha = std.values, effects.beta, effects.alpha
+    beta, alpha = effects.beta, effects.alpha
     # per-group products: Z @ beta would also multiply the zero columns
-    genetic_x = z[:, b] @ beta[b] + z[:, c] @ beta[c]
-    genetic_y = z[:, c] @ alpha[c] + z[:, d] @ alpha[d]
+    z_c = std.columns(c, "C")
+    genetic_x = std.columns(b, "C") @ beta[b] + z_c @ beta[c]
+    genetic_y = z_c @ alpha[c] + std.columns(d, "C") @ alpha[d]
 
     u1 = rng.standard_normal(std.n)
     u2 = rng.standard_normal(std.n)

@@ -51,14 +51,19 @@ def per_variant_regression(
     std: StandardizedGenotypes, x: np.ndarray, y: np.ndarray
 ) -> np.recarray:
     """Marginal slope, standard error, and exposure p-value for every variant,
-    as a SUMMARY_DTYPE record array in the column order of std."""
+    as a SUMMARY_DTYPE record array in the column order of std.
+
+    std is any standardized-genotype source (genotype module docstring); the
+    Gram and the two products Z'x, Z'y are taken block by block."""
     n = std.n
     if n < 3:
         raise EstimationError("per-variant regression needs at least 3 individuals")
     xc, yc = centre_traits(n, x, y)
-    gram = np.einsum("ij,ij->j", std.values, std.values)
-    gx, se_x = _marginal(std.values, gram, xc, n)
-    gy, se_y = _marginal(std.values, gram, yc, n)
+    parts = []
+    for z in std.blocks():
+        gram = np.einsum("ij,ij->j", z, z)
+        parts.append((*_marginal(z, gram, xc, n), *_marginal(z, gram, yc, n)))
+    gx, se_x, gy, se_y = (np.concatenate(field) for field in zip(*parts))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.abs(gx) / se_x
     p_x = 2.0 * stdtr(n - 2, -tstat)

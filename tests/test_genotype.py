@@ -12,6 +12,7 @@ from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
     GenotypeMatrix,
     Grm,
+    StandardizedGenotypes,
     compute_grm,
     filter_related,
     load_genotypes,
@@ -120,10 +121,27 @@ class TestSimulateGenotypesIsNumpyBinomial:
             (80, 25, 1e-9, 1e-8),  # p near zero
             (997, 301, 0.01, 0.99),  # 870 rows per chunk: a short last chunk
             (3, 300_001, 0.2, 0.3),  # a row wider than a chunk's cell budget
+            (8, 300_001, 0.2, 0.3),  # the same through the chunked sampler
         ],
     )
     def test_matches_rng_binomial(self, n, m, lo, hi, seed):
         self._assert_matches(n, m, lo, hi, seed)
+
+    def test_few_rows_skip_the_cut_points(self, monkeypatch):
+        # below _MIN_ROWS rows, computing each column's cut points would cost
+        # more than rng.binomial itself; from _MIN_ROWS on the sampler runs
+        calls = []
+        real = genotype._binomial2
+
+        def counted(maf, n, rng):
+            calls.append(n)
+            return real(maf, n, rng)
+
+        monkeypatch.setattr(genotype, "_binomial2", counted)
+        self._assert_matches(genotype._MIN_ROWS - 1, 50, 0.1, 0.9, 8)
+        assert calls == []
+        self._assert_matches(genotype._MIN_ROWS, 50, 0.1, 0.9, 8)
+        assert calls == [genotype._MIN_ROWS]
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_many_small_chunks(self, monkeypatch, seed):
@@ -211,6 +229,79 @@ class TestStandardize:
         gm = GenotypeMatrix(dosages=d, variant_ids=["a", "b"])
         with pytest.raises(DataError):
             standardize(gm)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStandardizedSource:
+    """A replicate's standardized genotypes: held whole up to _HELD_CELLS
+    cells, streamed from int8 dosages above, with the bits of standardize."""
+
+    @staticmethod
+    def _matrix(n, m, monomorphic=()):
+        gm = simulate_genotypes(n, m, 0.05, 0.5, np.random.default_rng(n + m))
+        gm.dosages[:, list(monomorphic)] = 1
+        return gm
+
+    @staticmethod
+    def _assert_columns_match(src, want, m):
+        cols = [m - 1, 0, 3, m // 2, 3]
+        got = src.columns(cols, "F")
+        ref = want.values[:, cols]
+        assert ref.flags.f_contiguous and got.flags.f_contiguous
+        assert _same_bits(got, ref)
+        got = src.columns(cols, "C")
+        assert got.flags.c_contiguous and _same_bits(got, np.ascontiguousarray(ref))
+        got = src.columns(slice(2, m - 1), "C")
+        assert _same_bits(np.ascontiguousarray(got), want.values[:, 2 : m - 1].copy())
+
+    @pytest.mark.parametrize(
+        "n,m,monomorphic,widths",
+        [
+            # three monomorphic columns, 832-column blocks, a narrower last one
+            (300, 2000, (5, 900, 1999), [832, 832, 333]),
+            # n > 2048: blocks are 64 columns wide
+            (2100, 130, (), [64, 64, 2]),
+            # a last block one column wide joins the block before it
+            (2100, 129, (), [64, 65]),
+        ],
+    )
+    def test_streamed_blocks_are_standardize(self, monkeypatch, n, m, monomorphic, widths):
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+        gm = self._matrix(n, m, monomorphic)
+        src = genotype._standardized_source(gm)
+        want = standardize(gm)
+        assert isinstance(src, genotype._StreamedGenotypes)
+        assert src.dosages.dtype == np.int8 and src.dosages.flags.c_contiguous
+        assert (src.n, src.m) == (want.n, want.m)
+        assert src.variant_ids == want.variant_ids
+        assert src.dropped_variants == want.dropped_variants == sorted(monomorphic)
+        blocks = list(src.blocks())
+        assert [block.shape[1] for block in blocks] == widths
+        assert all(block.flags.c_contiguous for block in blocks)
+        assert _same_bits(np.concatenate(blocks, axis=1), want.values)
+        self._assert_columns_match(src, want, want.m)
+
+    def test_held_source_is_one_block(self):
+        gm = self._matrix(200, 300, (7,))
+        assert gm.n * gm.m <= genotype._HELD_CELLS
+        src = genotype._standardized_source(gm)
+        want = standardize(gm)
+        assert isinstance(src, StandardizedGenotypes)
+        assert src.dropped_variants == [7]
+        (block,) = src.blocks()
+        assert block is src.values
+        assert _same_bits(block, want.values)
+        self._assert_columns_match(src, src, src.m)
+        assert np.shares_memory(src.columns(slice(1, 5), "C"), src.values)  # a view
+
+    def test_streamed_all_monomorphic_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+        gm = GenotypeMatrix(dosages=np.ones((4, 3), dtype=np.int8), variant_ids=["a", "b", "c"])
+        with pytest.raises(DataError, match="monomorphic"):
+            genotype._standardized_source(gm)
 
 
 class TestComputeGrm:

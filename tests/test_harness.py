@@ -1,15 +1,17 @@
 """Replication harness: seeding, aggregation, targets, and the file pipeline."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from tsre import harness, kernels
+from tsre import genotype, harness, kernels
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
+    StandardizedGenotypes,
     compute_grm,
     load_genotypes,
     save_genotypes,
@@ -35,7 +37,7 @@ from tsre.harness import (
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
 from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression
 
-from conftest import packed_to_dense
+from conftest import assert_same_summaries, packed_to_dense
 
 DEFAULT_JOBS = [(tag, default_selection(tag)) for tag in DEFAULT_METHODS]
 
@@ -57,6 +59,22 @@ def _tiny_cfg(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def _replicate_pieces(monkeypatch, cfg, jobs):
+    """One replicate's outcomes, with the genotype source it standardized
+    into, the widths of its blocks, its phenotypes and its summaries."""
+    seen = {}
+
+    def spy(std, x, y):
+        seen["source"] = type(std)
+        seen["blocks"] = [block.shape[1] for block in std.blocks()]
+        seen["x"], seen["y"] = x, y
+        seen["summaries"] = per_variant_regression(std, x, y)
+        return seen["summaries"]
+
+    monkeypatch.setattr(harness, "per_variant_regression", spy)
+    return seen, harness._replicate_outcomes((cfg, jobs, 5, 0, 0))
 
 
 class TestSelectionSpecs:
@@ -246,6 +264,45 @@ class TestRunScenario:
                 estimate_real(
                     gpath, xpath, ypath, method="tsre", selection=selection, grm_path=path
                 )
+
+    def test_streamed_replicate_keeps_the_dense_numbers(self, monkeypatch):
+        # with the held-whole limit at zero the same replicate streams its
+        # standardized genotypes in two blocks (1280 + 640 columns at n=200):
+        # phenotypes, summaries and every non-tsre estimate keep their bits,
+        # and tsre, whose pair sums add up block by block, moves by rounding
+        cfg = _tiny_cfg(n=200, m_a=640, m_b=640, m_c=320, m_d=320, sigma_gb=0.05,
+                        mu_gc_x=0.0, sigma_gc_x=0.05, sigma_gc_y=0.05, sigma_gd=0.05)
+        jobs = [(tag, selection) for tag in METHOD_TAGS for selection in ("all", "top:20")]
+        dense, dense_out = _replicate_pieces(monkeypatch, cfg, jobs)
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+        streamed, streamed_out = _replicate_pieces(monkeypatch, cfg, jobs)
+        assert dense["source"] is StandardizedGenotypes
+        assert streamed["source"] is genotype._StreamedGenotypes
+        assert streamed["blocks"] == [1280, 640]
+        assert streamed["x"].tobytes() == dense["x"].tobytes()
+        assert streamed["y"].tobytes() == dense["y"].tobytes()
+        assert_same_summaries(streamed["summaries"], dense["summaries"])
+        for (tag, selection), got, want in zip(jobs, streamed_out, dense_out):
+            if tag == "tsre":
+                np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=selection)
+            else:
+                assert got == want, (tag, selection)
+        assert streamed_out[jobs.index(("tsls", "all"))] is None  # m > n
+        assert sum(out is None for out in streamed_out) == 1
+
+    def test_streamed_replicate_never_holds_the_float_matrix(self):
+        # n*m = 1e7 cells is above the held-whole limit; the float64 matrix
+        # would be 80 MB, and the replicate holds int8 dosages and 2 MB blocks
+        cfg = _tiny_cfg(n=200, m_a=48_000, m_b=1000, m_c=1000)
+        assert cfg.n * cfg.m_total > genotype._HELD_CELLS
+        tracemalloc.start()
+        try:
+            out = harness._replicate_outcomes((cfg, [("tsre", "all"), ("ivw", "top:20")], 0, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert None not in out
+        assert peak < cfg.n * cfg.m_total * 8 / 2
 
     def test_bad_jobs_rejected(self):
         cfg = _tiny_cfg()

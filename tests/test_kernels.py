@@ -80,6 +80,10 @@ def test_pair_sums_matches_double_loop(n, seed, m):
     kernel_sums = [kernels.pair_sums(tri, n, x, y)]
     if z is not None:
         kernel_sums.append(kernels.genotype_pair_sums(z, x, y))
+        # the same Z as an iterable of column blocks, as a streamed source gives it
+        blocks = np.array_split(z, min(3, z.shape[1]), axis=1)
+        kernel_sums.append(kernels.genotype_pair_sums(iter(blocks), x, y))
+        assert kernels.genotype_pair_sums((z,), x, y) == kernel_sums[1]
     for got in kernel_sums:
         assert all(type(v) is float for v in got)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -64,6 +64,12 @@ def _outcome_weights(se_y: np.ndarray) -> np.ndarray:
     return se_y**-2
 
 
+def _check_instruments(n: int, k: int) -> None:
+    """Two-stage least squares on K = k instruments needs n >= K individuals."""
+    if k > n:
+        raise DataError(f"two-stage least squares needs n >= K (got n={n}, K={k})")
+
+
 def tsls(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
     """Two-stage least squares on individual-level data.
 
@@ -74,8 +80,7 @@ def tsls(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     n, k = g.shape
-    if k > n:
-        raise DataError(f"two-stage least squares needs n >= K (got n={n}, K={k})")
+    _check_instruments(n, k)
     if n < 3:
         raise EstimationError("two-stage least squares needs at least 3 individuals")
     xc, yc = centre_traits(n, x, y)

@@ -16,13 +16,17 @@ points reproduces its counts at a tenth of its cost.
 A Monte-Carlo replicate reads its standardized genotypes from one source
 with two methods: ``blocks()`` yields the standardized matrix as column
 blocks, and ``columns(cols, order)`` copies out the columns a product needs.
-Up to _HELD_CELLS cells (n*m <= 2^23, 64 MB of float64) the source is
+The phenotypes copy out the columns of groups b, c and d on either route,
+so only the other columns count: while they hold at most _HELD_CELLS cells
+(n*(m - m_b - m_c - m_d) <= 2^23, 64 MB of float64) the source is
 ``standardize(gm)``, held whole as its one block.  Above that it is a
 _StreamedGenotypes: the int8 dosages of the polymorphic columns plus their
 column means and sds, found in one pass over int8 column blocks, from which
 every pass recomputes float64 blocks of about 2^18 cells (2 MB).  A table4
-null_50000 replicate (n=1000, m=53000) then holds 53 MB of dosages and one
-2 MB block instead of a 424 MB float64 matrix.  Both routes compute through
+null_50000 replicate (n=1000, m=53000, 50000 of them in group a) then holds
+53 MB of dosages and one 2 MB block instead of a 424 MB float64 matrix; an
+s3 n10000 row (n=10000, m=1000, all in group b) would copy its whole matrix
+for the phenotypes anyway, so it is held.  Both routes compute through
 one helper, _centred, so a streamed value equals the held one bit for bit.
 
 Each block starts at a multiple of 64 columns.  A BLAS product over a block
@@ -64,13 +68,11 @@ _DOSAGES = frozenset("012")
 # Cells per chunk of the dosage sampler (one reused 2 MB float64 buffer) and
 # per column block of a streamed standardized matrix.
 _CHUNK_CELLS = 1 << 18
-# Largest n*m whose standardized float64 matrix a replicate holds whole.
+# Most float64 cells a replicate holds whole beyond the columns it copies
+# out anyway (see _standardized_source).
 _HELD_CELLS = 1 << 23
 # Column blocks start at multiples of this (see the module docstring).
 _BLOCK_ALIGN = 64
-# Fewer rows go straight to rng.binomial: per-column cut points computed in
-# Python would cost more than the uniforms save.
-_MIN_ROWS = 8
 # The largest double Generator.random returns.
 _U_MAX = 1.0 - 2.0**-53
 
@@ -203,18 +205,14 @@ def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> 
     bit-identical to ``rng.uniform`` followed by ``rng.binomial(2, maf,
     size=(n, m)).astype(np.int8)``: NumPy draws each Binomial(2, p) cell by
     inversion from one uniform, and ``_binomial2`` draws the same uniforms
-    and applies the same cut points (see the module docstring).  Fewer than
-    _MIN_ROWS rows are drawn by rng.binomial itself.
+    and applies the same cut points (see the module docstring).
     """
     if n < 1 or m < 1:
         raise DataError("need at least one individual and one variant")
     if not (0.0 < maf_low <= maf_high < 1.0):
         raise DataError("allele frequency range must satisfy 0 < low <= high < 1")
     maf = rng.uniform(maf_low, maf_high, size=m)
-    if n < _MIN_ROWS:
-        dosages = rng.binomial(2, maf, size=(n, m)).astype(np.int8)
-    else:
-        dosages = _binomial2(maf, n, rng)
+    dosages = _binomial2(maf, n, rng)
     width = max(5, len(str(m)))
     ids = [f"v{k:0{width}d}" for k in range(1, m + 1)]
     return GenotypeMatrix(dosages=dosages, variant_ids=ids)
@@ -329,12 +327,18 @@ def _column_blocks(n: int, m: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [m]))
 
 
-def _standardized_source(gm: GenotypeMatrix) -> StandardizedGenotypes | _StreamedGenotypes:
-    """The standardized genotypes of gm as a replicate reads them:
-    standardize(gm) up to _HELD_CELLS cells, and above that a
-    _StreamedGenotypes whose means and sds come from one pass over int8
-    column blocks."""
-    if gm.n * gm.m <= _HELD_CELLS:
+def _standardized_source(
+    gm: GenotypeMatrix, copied: int = 0
+) -> StandardizedGenotypes | _StreamedGenotypes:
+    """The standardized genotypes of gm as a replicate reads them.
+
+    copied is the number of columns the caller copies out as float64 anyway
+    (a replicate's phenotype groups b, c and d).  Streaming saves only the
+    other n*(m - copied) cells, so up to _HELD_CELLS of them the source is
+    standardize(gm); above that it is a _StreamedGenotypes whose means and
+    sds come from one pass over int8 column blocks.
+    """
+    if gm.n * (gm.m - copied) <= _HELD_CELLS:
         return standardize(gm)
     stats = [_centred(gm.dosages[:, c0:c1])[1:] for c0, c1 in _column_blocks(gm.n, gm.m)]
     mean, sd = (np.concatenate(part) for part in zip(*stats))

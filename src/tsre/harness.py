@@ -27,7 +27,15 @@ from .errors import (
     read_csv,
     write_csv,
 )
-from .estimators import Estimate, egger, ivw, simple_median, tsls, weighted_median
+from .estimators import (
+    Estimate,
+    _check_instruments,
+    egger,
+    ivw,
+    simple_median,
+    tsls,
+    weighted_median,
+)
 from .genotype import (
     GenotypeMatrix,
     Grm,
@@ -199,8 +207,10 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
     if tag == "tsls":
         # A Fortran-ordered column copy even for 'all': 2SLS on C-ordered
         # columns differs in the last bits, and a streamed source has no
-        # matrix to hand over anyway.
-        return tsls(std.columns(np.arange(std.m) if cols is None else cols, "F"), x, y)
+        # matrix to hand over anyway.  K > n fails before anything is copied.
+        cols = np.arange(std.m) if cols is None else cols
+        _check_instruments(std.n, len(cols))
+        return tsls(std.columns(cols, "F"), x, y)
     if cols is not None:
         std = StandardizedGenotypes(
             values=std.columns(cols, "C"), variant_ids=[std.variant_ids[c] for c in cols]
@@ -212,15 +222,16 @@ def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
     Returns a list aligned with the (method, selection) jobs; entries are
-    (theta_hat, se) or None for a failed estimator.  Above 2^23 cells the
+    (theta_hat, se) or None for a failed estimator.  When the columns
+    outside the phenotype groups b, c and d hold more than 2^23 cells, the
     standardized genotypes are streamed from the int8 dosages in column
-    blocks, so a replicate never holds its n x m float64 matrix.
+    blocks, so the replicate never holds its n x m float64 matrix.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
     try:
-        std = _standardized_source(gm)
+        std = _standardized_source(gm, copied=cfg.m_total - cfg.m_a)
         pheno = generate_phenotypes(std, sample_effects(cfg, rng), cfg, rng)
         summaries = per_variant_regression(std, pheno.x, pheno.y)
     except TsreError:

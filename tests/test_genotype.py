@@ -121,27 +121,11 @@ class TestSimulateGenotypesIsNumpyBinomial:
             (80, 25, 1e-9, 1e-8),  # p near zero
             (997, 301, 0.01, 0.99),  # 870 rows per chunk: a short last chunk
             (3, 300_001, 0.2, 0.3),  # a row wider than a chunk's cell budget
-            (8, 300_001, 0.2, 0.3),  # the same through the chunked sampler
+            (8, 300_001, 0.2, 0.3),  # several such rows
         ],
     )
     def test_matches_rng_binomial(self, n, m, lo, hi, seed):
         self._assert_matches(n, m, lo, hi, seed)
-
-    def test_few_rows_skip_the_cut_points(self, monkeypatch):
-        # below _MIN_ROWS rows, computing each column's cut points would cost
-        # more than rng.binomial itself; from _MIN_ROWS on the sampler runs
-        calls = []
-        real = genotype._binomial2
-
-        def counted(maf, n, rng):
-            calls.append(n)
-            return real(maf, n, rng)
-
-        monkeypatch.setattr(genotype, "_binomial2", counted)
-        self._assert_matches(genotype._MIN_ROWS - 1, 50, 0.1, 0.9, 8)
-        assert calls == []
-        self._assert_matches(genotype._MIN_ROWS, 50, 0.1, 0.9, 8)
-        assert calls == [genotype._MIN_ROWS]
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_many_small_chunks(self, monkeypatch, seed):
@@ -296,6 +280,15 @@ class TestStandardizedSource:
         assert _same_bits(block, want.values)
         self._assert_columns_match(src, src, src.m)
         assert np.shares_memory(src.columns(slice(1, 5), "C"), src.values)  # a view
+
+    def test_copied_columns_do_not_count(self, monkeypatch):
+        # streaming saves only the cells outside the columns the caller copies
+        # out anyway, so those alone choose the route
+        gm = self._matrix(50, 40)
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 50 * 10)
+        assert isinstance(genotype._standardized_source(gm, copied=30), StandardizedGenotypes)
+        streamed = genotype._standardized_source(gm, copied=29)
+        assert isinstance(streamed, genotype._StreamedGenotypes)
 
     def test_streamed_all_monomorphic_is_an_error(self, monkeypatch):
         monkeypatch.setattr(genotype, "_HELD_CELLS", 0)

@@ -290,11 +290,19 @@ class TestRunScenario:
         assert streamed_out[jobs.index(("tsls", "all"))] is None  # m > n
         assert sum(out is None for out in streamed_out) == 1
 
+    def test_replicate_without_group_a_is_held(self, monkeypatch):
+        # its phenotypes copy out every column, so streaming would save nothing
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+        seen, out = _replicate_pieces(monkeypatch, _tiny_cfg(), [("tsre", "all")])
+        assert seen["source"] is StandardizedGenotypes
+        assert None not in out
+
     def test_streamed_replicate_never_holds_the_float_matrix(self):
-        # n*m = 1e7 cells is above the held-whole limit; the float64 matrix
-        # would be 80 MB, and the replicate holds int8 dosages and 2 MB blocks
+        # the 48000 group-a columns hold 9.6e6 cells, above the held-whole
+        # limit; the float64 matrix would be 80 MB, and the replicate holds
+        # int8 dosages, 2 MB blocks and, for its phenotypes, groups b and c
         cfg = _tiny_cfg(n=200, m_a=48_000, m_b=1000, m_c=1000)
-        assert cfg.n * cfg.m_total > genotype._HELD_CELLS
+        assert cfg.n * cfg.m_a > genotype._HELD_CELLS
         tracemalloc.start()
         try:
             out = harness._replicate_outcomes((cfg, [("tsre", "all"), ("ivw", "top:20")], 0, 0, 0))
@@ -303,6 +311,21 @@ class TestRunScenario:
             tracemalloc.stop()
         assert None not in out
         assert peak < cfg.n * cfg.m_total * 8 / 2
+
+    def test_tsls_on_more_columns_than_rows_copies_nothing(self):
+        # K > n is refused before the Fortran copy of every column (80 MB here)
+        gm = simulate_genotypes(200, 50_000, 0.05, 0.5, np.random.default_rng(0))
+        std = genotype._standardized_source(gm)
+        assert isinstance(std, genotype._StreamedGenotypes)
+        x = y = np.zeros(gm.n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="n >= K"):
+                harness._run_method("tsls", "all", std, None, x, y, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gm.n * gm.m  # less than the int8 dosages themselves
 
     def test_bad_jobs_rejected(self):
         cfg = _tiny_cfg()

@@ -19,7 +19,14 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, EstimationError, write_csv
-from .genotype import compute_grm, load_genotypes, save_genotypes, save_grm, standardize
+from .genotype import (
+    compute_grm,
+    load_genotypes,
+    save_genotypes,
+    save_grm,
+    simulate_genotypes,
+    standardize,
+)
 from .harness import (
     METHOD_TAGS,
     TARGETS,
@@ -28,7 +35,6 @@ from .harness import (
     save_phenotype,
 )
 from .simulate import generate_phenotypes, load_scenario, sample_effects
-from .genotype import simulate_genotypes
 from .theory import (
     asymptotic_var_tsre,
     bias_egger,

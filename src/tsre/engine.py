@@ -6,8 +6,10 @@ symmetrized cross product (X_i*Y_j + Y_i*X_j)/2 with slope delta; the causal
 effect estimate is the slope ratio delta/eta.  Everything reduces to three
 relatedness pair sums, so no N-pair design is ever materialized.  They come
 from a packed GRM triangle (a Grm) or from the standardized genotypes Z
-behind it (StandardizedGenotypes), whichever the caller holds; from Z they
-cost O(nm) for any shape and A = Z Z'/m is never formed.
+behind it, whichever the caller holds.  From Z they need only the
+per-variant summaries, whose marginal effects are Z'x/n and Z'y/n, plus the
+row norms d_i = |z_i|^2/m: O(nm) for any shape, and A = Z Z'/m is never
+formed.
 """
 
 from __future__ import annotations
@@ -20,14 +22,10 @@ import numpy as np
 from . import kernels
 from .errors import DataError, EstimationError, centre_traits, check_traits
 from .estimators import Estimate
-from .genotype import Grm, StandardizedGenotypes
+from .genotype import Grm, StandardizedGenotypes, _row_norms
+from .sumstats import per_variant_regression
 
-__all__ = [
-    "PairMoments",
-    "pair_moments",
-    "tsre_estimate",
-    "moment_diagnostic",
-]
+__all__ = ["PairMoments", "pair_moments", "tsre_estimate", "moment_diagnostic"]
 
 # Denominator guard, in correlation units between A_ij and X_i*X_j over
 # pairs.  Deliberately tiny: it rejects exactly degenerate inputs (constant
@@ -65,19 +63,38 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
 
     Phenotypes are used as given (no centering here).  The relatedness sums
     come from the packed triangle of a Grm (kernels.pair_sums, a few passes
-    over its n(n+1)/2 entries), or from standardized genotypes Z of any shape,
-    held whole or streamed in column blocks (genotype module docstring),
-    through Z'x, Z'y and Z'1 (kernels.genotype_pair_sums, O(nm)).  The pure
-    phenotype sums come from the identities
+    over its n(n+1)/2 entries), or from standardized genotypes of any shape,
+    held whole or streamed in column blocks (genotype module docstring):
+    their per-variant summaries plus the row norms (_summary_moments, O(nm)).
+    The pure phenotype sums come from the identities
     sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, in O(n).
     """
-    if a.n < 2:
-        raise DataError(f"need at least 2 individuals, got {a.n}")
+    # the genotype route runs per_variant_regression, which needs 3
+    min_n = 2 if isinstance(a, Grm) else 3
+    if a.n < min_n:
+        raise DataError(f"need at least {min_n} individuals, got {a.n}")
     x, y = check_traits(a.n, x, y)
     if isinstance(a, Grm):
-        s_axx, s_axy, s_a = kernels.pair_sums(a.lower_triangle, a.n, x, y)
-    else:
-        s_axx, s_axy, s_a = kernels.genotype_pair_sums(a.blocks(), x, y)
+        return _moments(kernels.pair_sums(a.lower_triangle, a.n, x, y), x, y)
+    return _summary_moments(per_variant_regression(a, x, y), _row_norms(a.blocks()), x, y)
+
+
+def _summary_moments(summaries, d, x, y) -> PairMoments:
+    # A = Z Z'/m over the m summarised columns, whose standardized columns
+    # are centred (Z'1 = 0) with Gram n, so u = Z'x = n gamma_x and
+    # v = Z'y = n gamma_y.  Each sum is half its whole-matrix form minus the
+    # diagonal terms d_i = A_ii.
+    n, m = d.size, len(summaries)
+    u = n * summaries["gamma_x"]
+    v = n * summaries["gamma_y"]
+    s_axx = (u @ u / m - d @ (x * x)) / 2.0
+    s_axy = (u @ v / m - d @ (x * y)) / 2.0
+    return _moments((s_axx, s_axy, -d.sum() / 2.0), x, y)
+
+
+def _moments(sums, x, y) -> PairMoments:
+    """PairMoments from the three relatedness sums and the phenotype pair."""
+    s_axx, s_axy, s_a = (float(s) for s in sums)
     sx = float(np.sum(x))
     sy = float(np.sum(y))
     sx2 = float(x @ x)
@@ -90,40 +107,49 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
         s_xx=(sx * sx - sx2) / 2.0,
         s_xy=(sx * sy - sy_x) / 2.0,
         s_xx2=(sx2 * sx2 - sx4) / 2.0,
-        n_pairs=a.n * (a.n - 1) // 2,
+        n_pairs=x.size * (x.size - 1) // 2,
     )
-
-
-def _guard_denominator(den: float, scale: float, spread: float):
-    limit = MIN_SIGNAL * math.sqrt(scale * max(spread, 0.0))
-    if abs(den) <= limit or den == 0.0:
-        raise EstimationError(
-            "weak genetic signal: exposure-pair regression denominator "
-            f"{den:.6e} is below the guard threshold {limit:.6e}"
-        )
 
 
 def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
     """Fit the slope-ratio estimator on a relationship matrix and phenotype pair.
 
-    a is a Grm, or the StandardizedGenotypes whose GRM it would be; both give
-    the same fit up to rounding.  Both traits are mean-centered internally.
-    theta_hat is the ratio of the pair covariances of A with the cross and
-    exposure products.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in
-    asymptotic variance scale; n_iv is the number of variants behind A.
+    a is a Grm, or the standardized genotypes whose GRM it would be; both
+    give the same fit up to rounding.  Genotypes are read only through their
+    per-variant summaries and row norms, the route a replicate takes
+    (_summary_fit).  Both traits are mean-centered internally.  theta_hat is
+    the ratio of the pair covariances of A with the cross and exposure
+    products.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic
+    variance scale; n_iv is the number of variants behind A.
     """
     if a.n < 3:
         raise DataError(f"need at least 3 individuals, got {a.n}")
+    if not isinstance(a, Grm):
+        return _summary_fit(per_variant_regression(a, x, y), _row_norms(a.blocks()), x, y)
     xc, yc = centre_traits(a.n, x, y)
-    pm = pair_moments(a, xc, yc)
+    return _fit(pair_moments(a, xc, yc), a.m_effective, xc, yc)
+
+
+def _summary_fit(summaries, d, x, y) -> Estimate:
+    """tsre from the summaries of m selected variants (per_variant_regression
+    of x and y) and the row norms d over the same columns."""
+    xc, yc = centre_traits(d.size, x, y)
+    return _fit(_summary_moments(summaries, d, xc, yc), len(summaries), xc, yc)
+
+
+def _fit(pm: PairMoments, m: int, xc, yc) -> Estimate:
     npairs = pm.n_pairs
     den = pm.s_axx - pm.s_a * pm.s_xx / npairs
     num = pm.s_axy - pm.s_a * pm.s_xy / npairs
-    m = a.m_effective if isinstance(a, Grm) else a.m
     # spread of the exposure pair products; that of the GRM entries is
     # npairs/m (see MIN_SIGNAL)
     spread = pm.s_xx2 - pm.s_xx**2 / npairs
-    _guard_denominator(den, npairs / m, spread)
+    limit = MIN_SIGNAL * math.sqrt(npairs / m * max(spread, 0.0))
+    if abs(den) <= limit or den == 0.0:
+        raise EstimationError(
+            "weak genetic signal: exposure-pair regression denominator "
+            f"{den:.6e} is below the guard threshold {limit:.6e}"
+        )
     theta = num / den
     se = _plugin_se(pm, den, theta, xc, yc, m)
     return Estimate(method="tsre", theta_hat=theta, se=se, n_iv=m)

@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import DataError, EstimationError, centre_traits
 
-__all__ = [
-    "Estimate",
-    "tsls",
-    "ivw",
-    "egger",
-    "simple_median",
-    "weighted_median",
-]
+__all__ = ["Estimate", "tsls", "ivw", "egger", "simple_median", "weighted_median"]
 
 # Parametric bootstrap draws behind the median estimators' standard errors.
 N_BOOT = 1000
@@ -175,12 +168,21 @@ def egger(summaries) -> Estimate:
     )
 
 
+def _ratios(gy, gx, out=None):
+    # A ratio may overflow (a subnormal gx): Estimate rejects an infinite
+    # point estimate, and a bootstrap draw only feeds a median.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.divide(gy, gx, out=out)
+
+
 def _ratio_inputs(summaries):
+    """(ratios, gx, se_x, gy, se_y) of the variants with gx != 0."""
     gx, se_x, gy, se_y = _unpack(summaries)
     keep = gx != 0.0
     if not keep.any():
         raise EstimationError("no signal: all exposure effects are zero")
-    return gx[keep], se_x[keep], gy[keep], se_y[keep]
+    gx, gy = gx[keep], gy[keep]
+    return _ratios(gy, gx), gx, se_x[keep], gy, se_y[keep]
 
 
 def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -209,14 +211,14 @@ def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
     # in place, with the bits of gx + se_x * zx, gy + se_y * zy and by / bx
+    rng = np.random.default_rng(0) if rng is None else rng
     bx = rng.standard_normal((N_BOOT, gx.size))
     by = rng.standard_normal((N_BOOT, gx.size))
     bx *= se_x
     bx += gx
     by *= se_y
     by += gy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        by /= bx
+    _ratios(by, bx, out=by)
     est = point_fn(by)
     return float(np.std(est, ddof=1))
 
@@ -228,10 +230,8 @@ def simple_median(summaries, rng=None) -> Estimate:
     dropped.  The standard error is the sd over N_BOOT parametric bootstrap
     replicates in which every gamma is redrawn from N(gamma, se^2).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gx, se_x, gy, se_y = _ratio_inputs(summaries)
-    theta = float(np.median(gy / gx))
+    ratios, gx, se_x, gy, se_y = _ratio_inputs(summaries)
+    theta = float(np.median(ratios))
     se = _bootstrap_se(
         lambda r: np.median(r, axis=1, overwrite_input=True), gx, se_x, gy, se_y, rng
     )
@@ -245,12 +245,10 @@ def weighted_median(summaries, rng=None) -> Estimate:
     are normalized and centered (cum - w/2), and the estimate interpolates
     linearly at probability 0.5.  The bootstrap reuses the observed weights.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    gx, se_x, gy, se_y = _ratio_inputs(summaries)
+    ratios, gx, se_x, gy, se_y = _ratio_inputs(summaries)
     if np.any(se_y <= 0):
         raise EstimationError("degenerate weights: an outcome standard error is zero")
     weights = gx * gx / (se_y * se_y)
-    theta = float(_weighted_median((gy / gx)[None, :], weights)[0])
+    theta = float(_weighted_median(ratios[None, :], weights)[0])
     se = _bootstrap_se(lambda r: _weighted_median(r, weights), gx, se_x, gy, se_y, rng)
     return Estimate(method="weighted_median", theta_hat=theta, se=se, n_iv=gx.size)

@@ -49,17 +49,9 @@ import numpy as np
 from .errors import ConfigError, DataError, EstimationError, read_csv, write_csv
 
 __all__ = [
-    "GenotypeMatrix",
-    "StandardizedGenotypes",
-    "Grm",
-    "simulate_genotypes",
-    "standardize",
-    "compute_grm",
-    "filter_related",
-    "load_genotypes",
-    "save_genotypes",
-    "load_grm",
-    "save_grm",
+    "GenotypeMatrix", "StandardizedGenotypes", "Grm", "simulate_genotypes",
+    "standardize", "compute_grm", "filter_related", "load_genotypes", "save_genotypes",
+    "load_grm", "save_grm",
 ]
 
 _GRM_MAGIC = b"GRM1"
@@ -345,6 +337,16 @@ def _standardized_source(
     keep, kept_ids, dropped = _polymorphic(gm, sd)
     dosages = np.compress(keep, gm.dosages, axis=1) if dropped else gm.dosages
     return _StreamedGenotypes(dosages, mean[keep], sd[keep], kept_ids, dropped)
+
+
+def _row_norms(blocks) -> np.ndarray:
+    """d_i = |z_i|^2 / m, the GRM diagonal, from the column blocks of a
+    standardized matrix (std.blocks(), or one block of selected columns)."""
+    d, m = 0.0, 0
+    for z in blocks:
+        d = d + np.einsum("ij,ij->i", z, z)
+        m += z.shape[1]
+    return d / m
 
 
 def _grm_panel(values: np.ndarray, tri: np.ndarray, r0: int, r1: int, m_eff: int) -> None:

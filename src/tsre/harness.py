@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import tsre_estimate
+from .engine import _summary_fit
 from .errors import (
     ConfigError,
     DataError,
@@ -40,6 +40,7 @@ from .genotype import (
     GenotypeMatrix,
     Grm,
     StandardizedGenotypes,
+    _row_norms,
     _standardized_source,
     check_cutoff,
     compute_grm,
@@ -53,14 +54,8 @@ from .simulate import ScenarioConfig, sample_effects, generate_phenotypes
 from .sumstats import per_variant_regression, select_by_pvalue, select_top_k
 
 __all__ = [
-    "ReplicationSpec",
-    "ReplicateResult",
-    "RealDataResult",
-    "run_scenario",
-    "reproduce_table",
-    "estimate_real",
-    "save_phenotype",
-    "load_phenotype",
+    "ReplicationSpec", "ReplicateResult", "RealDataResult", "run_scenario",
+    "reproduce_table", "estimate_real", "save_phenotype", "load_phenotype",
 ]
 
 RESULT_HEADER = ["target", "row_id", "method", "selection", "mean", "sd_mc", "mean_se",
@@ -196,14 +191,12 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
     """Run one checked (method, selection) pair.
 
     std is a standardized-genotype source, held whole or streamed in column
-    blocks (genotype module docstring).  tsre fits on the standardized
-    genotypes of the selected variants in O(nm), building no GRM
-    (engine.pair_moments).
+    blocks (genotype module docstring).  tsre fits from the selected
+    summaries plus the row norms of the selected columns, building no GRM
+    and taking no product of the genotypes with the traits
+    (engine._summary_fit).
     """
     cols = _select(summaries, selection)
-    if tag in _SUMMARY_METHODS:
-        selected = summaries if cols is None else summaries[cols]
-        return _SUMMARY_METHODS[tag](selected, rng_for)
     if tag == "tsls":
         # A Fortran-ordered column copy even for 'all': 2SLS on C-ordered
         # columns differs in the last bits, and a streamed source has no
@@ -211,11 +204,11 @@ def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
         cols = np.arange(std.m) if cols is None else cols
         _check_instruments(std.n, len(cols))
         return tsls(std.columns(cols, "F"), x, y)
-    if cols is not None:
-        std = StandardizedGenotypes(
-            values=std.columns(cols, "C"), variant_ids=[std.variant_ids[c] for c in cols]
-        )
-    return tsre_estimate(std, x, y)
+    selected = summaries if cols is None else summaries[cols]
+    if tag == "tsre":
+        blocks = std.blocks() if cols is None else (std.columns(cols, "C"),)
+        return _summary_fit(selected, _row_norms(blocks), x, y)
+    return _SUMMARY_METHODS[tag](selected, rng_for)
 
 
 def _replicate_outcomes(args):
@@ -658,7 +651,7 @@ def _load_checked_grm(path, std: StandardizedGenotypes, ids) -> Grm:
             f"{path}: GRM was built from {grm.m_effective} variants but the "
             f"genotypes have {std.m} polymorphic variants"
         )
-    diag = np.einsum("ij,ij->i", std.values, std.values) / std.m
+    diag = _row_norms(std.blocks())
     bad = np.flatnonzero(np.abs(grm.diagonal() - diag) > 1e-9 * np.abs(diag))
     if bad.size:
         raise DataError(

@@ -1,10 +1,10 @@
-"""Reductions over the unordered pairs i > j of a relationship matrix.
+"""Reductions over the unordered pairs i > j of a packed relationship matrix.
 
-The matrix comes either as a packed lower triangle, reduced in O(n^2), or as
-the standardized genotypes Z behind A = Z Z' / m, reduced in O(nm) for any
-shape without forming A.  Row i of a packed triangle (diagonal included,
-row-major) occupies slots [i(i+1)/2, i(i+1)/2 + i], so the diagonal entry
-A_ii sits at i(i+3)/2.  No reduction materialises the pair-level design.
+Each reduction reads the packed lower triangle in O(n^2).  Row i of it
+(diagonal included, row-major) occupies slots [i(i+1)/2, i(i+1)/2 + i], so
+the diagonal entry A_ii sits at i(i+3)/2.  No reduction materialises the
+pair-level design.  Standardized genotypes need no kernel here: their pair
+sums come from the per-variant summaries and the row norms (engine).
 """
 
 import numpy as np
@@ -28,34 +28,6 @@ def pair_sums(tri, n, x, y):
     s_a = tri.sum() - d.sum()
     s_axx = (x @ ax - d @ (x * x)) / 2.0
     s_axy = (y @ ax - d @ (x * y)) / 2.0
-    return float(s_axx), float(s_axy), float(s_a)
-
-
-def genotype_pair_sums(z, x, y):
-    """The three sums of pair_sums for A = Z Z' / m, from the n x m
-    standardized genotypes Z in O(n m), for any shape.
-
-    z is Z itself or an iterable of its column blocks, in order.  With
-    u = Z'x, v = Z'y, w = Z'1 and d_i = A_ii = |z_i|^2 / m, each sum is half
-    of its whole-matrix form minus the diagonal terms:
-    s_axx = (u.u/m - d.x^2)/2, s_axy = (u.v/m - d.xy)/2 and
-    s_a = (w.w/m - sum d)/2.  The three products are one (3 x n) @ block per
-    block, which streams each block once in its own row-major layout; the
-    row norms add up block by block.
-    """
-    blocks = (z,) if isinstance(z, np.ndarray) else z
-    xy1 = np.stack((x, y, np.ones(x.size)))
-    uvw = []
-    d = np.zeros(x.size)
-    for block in blocks:
-        uvw.append(xy1 @ block)
-        d += np.einsum("ij,ij->i", block, block)
-    u, v, w = np.concatenate(uvw, axis=1)
-    m = u.size
-    d /= m
-    s_axx = (u @ u / m - d @ (x * x)) / 2.0
-    s_axy = (u @ v / m - d @ (x * y)) / 2.0
-    s_a = (w @ w / m - d.sum()) / 2.0
     return float(s_axx), float(s_axy), float(s_a)
 
 

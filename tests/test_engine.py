@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsre import engine
+from tsre import engine, genotype
 from tsre.engine import (
     PairMoments,
     moment_diagnostic,
@@ -120,10 +120,14 @@ class TestPairMoments:
         with pytest.raises(DataError, match="finite"):
             tsre_estimate(_grm_from_dense(a), y, x)
 
-    def test_single_individual_rejected(self):
+    def test_single_individual_rejected(self, rng):
         a = np.array([[1.0]])
         with pytest.raises(DataError):
             pair_moments(_grm_from_dense(a), np.array([1.0]), np.array([1.0]))
+        # genotypes need a third: their sums come from per-variant regressions
+        std = random_standardized(rng, 2, 5)
+        with pytest.raises(DataError, match="at least 3 individuals"):
+            pair_moments(std, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
 
     def test_result_is_immutable(self):
         a, x, y = _random_problem(1, n=4)
@@ -223,20 +227,25 @@ class TestTsreEstimate:
             tsre_estimate(_grm_from_dense(a, m_effective), x, y)
 
     @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
-    def test_genotypes_give_the_grm_fit(self, n, m):
-        # both shapes, m <= n and m > n, fit through
-        # kernels.genotype_pair_sums without a GRM
+    def test_genotypes_give_the_grm_fit(self, n, m, monkeypatch):
+        # both shapes, m <= n and m > n, held whole and streamed, fit from
+        # the per-variant summaries and the row norms without a GRM
         rng = np.random.default_rng(n + m)
-        std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
+        gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
+        std = standardize(gm)
+        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+        streamed = genotype._standardized_source(gm)
+        assert isinstance(streamed, genotype._StreamedGenotypes)
         grm = compute_grm(std)
         x = std.values @ rng.normal(0, 0.5, size=std.m) + rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
-        direct = tsre_estimate(std, x, y)
         via_grm = tsre_estimate(grm, x, y)
-        np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
-        np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
-        assert direct.n_iv == via_grm.n_iv == std.m
-        for source in (std, grm):
+        for source in (std, streamed):
+            direct = tsre_estimate(source, x, y)
+            np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
+            np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
+            assert direct.n_iv == via_grm.n_iv == std.m
+        for source in (std, streamed, grm):
             with pytest.raises(EstimationError, match="no signal: the exposure does not vary"):
                 tsre_estimate(source, np.full(n, 2.0), y)
 

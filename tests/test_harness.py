@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from tsre import genotype, harness, kernels
+from tsre import engine, genotype, harness, kernels
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
@@ -188,7 +188,9 @@ class TestRunScenario:
     def test_table2_row_numbers_are_pinned(self):
         # every estimate and se of three replicates of a builtin row, recorded
         # when dosages came from rng.binomial and the median bootstraps were
-        # not computed in place: neither speed-up may move a single bit
+        # not computed in place: neither speed-up may move a single bit.  tsre
+        # is recorded from its fit on the summaries and row norms, which
+        # moved it by at most 1.7e-14 relative from its fit on Z'x and Z'y
         rows = builtin_rows("table2")
         key = next(i for i, row in enumerate(rows) if row[0] == "balanced_rho00_weak80")
         row_id, cfg, _ = rows[key]
@@ -218,8 +220,8 @@ class TestRunScenario:
                 [0.32824028324875565, 0.4801940976007672, 0.2653992475991973],
             ),
             "tsre": (
-                [0.26862720683834873, 0.31217453160927316, 0.33112666765362053],
-                [0.05522058039666572, 0.04949221739524294, 0.03638410851656296],
+                [0.2686272068383465, 0.312174531609268, 0.3311266676536203],
+                [0.05522058039666567, 0.04949221739524275, 0.036384108516563186],
             ),
             "tsls": (
                 [0.327283674003754, 0.32002115553943045, 0.353945681656732],
@@ -242,16 +244,17 @@ class TestRunScenario:
     def test_tsre_builds_no_grm(self, monkeypatch, real_data, tmp_path):
         # with fewer or more variants than individuals, every tsre fit of a
         # replicate, and every one in estimate_real with or without a --grm
-        # file, works from the standardized genotypes
+        # file, works from the summaries the caller made and the row norms
         gpath, xpath, ypath, *_ = real_data
         grm_path = tmp_path / "a.grm"
         save_grm(compute_grm(standardize(load_genotypes(gpath))), grm_path)
 
         def no_grm(*args):
-            raise AssertionError("GRM built or reduced")
+            raise AssertionError("GRM built or reduced, or summaries made again")
 
         monkeypatch.setattr(harness, "compute_grm", no_grm)
         monkeypatch.setattr(kernels, "pair_sums", no_grm)
+        monkeypatch.setattr(engine, "per_variant_regression", no_grm)
         selections = ("all", "top:5", "pval:0.05")
         jobs = [("tsre", selection) for selection in selections]
         wide = _tiny_cfg(n=30, m_a=40)

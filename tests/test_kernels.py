@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from tsre import kernels
+from tsre.engine import pair_moments
 from tsre.genotype import compute_grm, simulate_genotypes, standardize
 
 from conftest import dense_to_packed, packed_to_dense
 
 # (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
-# GRM of m simulated variants, whose pair sums are also taken straight from
-# the standardized genotypes, for any m.  With m >> n that GRM is diagonal-dominant
+# GRM of m simulated variants, whose pair sums are also taken from the
+# summaries and row norms of the standardized genotypes, for any m.  With m >> n that GRM is diagonal-dominant
 # (off-diagonal entries ~ 1/sqrt(m) against a unit diagonal), as in the
 # many-null-variant regime, so the pair sums are small differences of
 # whole-triangle and diagonal terms.  The GRMs come from simulate_genotypes,
@@ -50,6 +51,19 @@ def _random_instance(n, seed, m):
     return a, tri, x, y, z
 
 
+class _BlockSource:
+    """A standardized-genotype source that yields the given column blocks."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.n = blocks[0].shape[0]
+        self.m = sum(b.shape[1] for b in blocks)
+        self.variant_ids = [f"v{k}" for k in range(self.m)]
+
+    def blocks(self):
+        return iter(self._blocks)
+
+
 def _pair_sums_oracle(a, x, y):
     n = a.shape[0]
     s_axx = s_axy = s_a = 0.0
@@ -79,11 +93,12 @@ def test_pair_sums_matches_double_loop(n, seed, m):
     want = _pair_sums_oracle(a, x, y)
     kernel_sums = [kernels.pair_sums(tri, n, x, y)]
     if z is not None:
-        kernel_sums.append(kernels.genotype_pair_sums(z, x, y))
-        # the same Z as an iterable of column blocks, as a streamed source gives it
+        # the summaries route of the genotypes: Z whole, and the same Z as
+        # three column blocks, as a streamed source gives it
         blocks = np.array_split(z, min(3, z.shape[1]), axis=1)
-        kernel_sums.append(kernels.genotype_pair_sums(iter(blocks), x, y))
-        assert kernels.genotype_pair_sums((z,), x, y) == kernel_sums[1]
+        for source in (_BlockSource([z]), _BlockSource(blocks)):
+            pm = pair_moments(source, x, y)
+            kernel_sums.append((pm.s_axx, pm.s_axy, pm.s_a))
     for got in kernel_sums:
         assert all(type(v) is float for v in got)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -63,8 +63,7 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
 
     Phenotypes are used as given (no centering here).  The relatedness sums
     come from the packed triangle of a Grm (kernels.pair_sums, a few passes
-    over its n(n+1)/2 entries), or from standardized genotypes of any shape,
-    held whole or streamed in column blocks (genotype module docstring):
+    over its n(n+1)/2 entries), or from standardized genotypes of any shape:
     their per-variant summaries plus the row norms (_summary_moments, O(nm)).
     The pure phenotype sums come from the identities
     sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2)/2 and its relatives, in O(n).
@@ -76,7 +75,7 @@ def pair_moments(a: Grm | StandardizedGenotypes, x, y) -> PairMoments:
     x, y = check_traits(a.n, x, y)
     if isinstance(a, Grm):
         return _moments(kernels.pair_sums(a.lower_triangle, a.n, x, y), x, y)
-    return _summary_moments(per_variant_regression(a, x, y), _row_norms(a.blocks()), x, y)
+    return _summary_moments(per_variant_regression(a, x, y), _row_norms(a.values), x, y)
 
 
 def _summary_moments(summaries, d, x, y) -> PairMoments:
@@ -116,8 +115,8 @@ def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
 
     a is a Grm, or the standardized genotypes whose GRM it would be; both
     give the same fit up to rounding.  Genotypes are read only through their
-    per-variant summaries and row norms, the route a replicate takes
-    (_summary_fit).  Both traits are mean-centered internally.  theta_hat is
+    per-variant summaries and row norms, which a replicate takes from its
+    int8 dosages (_summary_fit).  Both traits are mean-centered internally.  theta_hat is
     the ratio of the pair covariances of A with the cross and exposure
     products.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic
     variance scale; n_iv is the number of variants behind A.
@@ -125,7 +124,7 @@ def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
     if a.n < 3:
         raise DataError(f"need at least 3 individuals, got {a.n}")
     if not isinstance(a, Grm):
-        return _summary_fit(per_variant_regression(a, x, y), _row_norms(a.blocks()), x, y)
+        return _summary_fit(per_variant_regression(a, x, y), _row_norms(a.values), x, y)
     xc, yc = centre_traits(a.n, x, y)
     return _fit(pair_moments(a, xc, yc), a.m_effective, xc, yc)
 

@@ -13,27 +13,20 @@ inverts the CDF with one uniform per cell, drawn in C order exactly as
 ``rng.random`` draws them, so comparing each uniform with the same two cut
 points reproduces its counts at a tenth of its cost.
 
-A Monte-Carlo replicate reads its standardized genotypes from one source
-with two methods: ``blocks()`` yields the standardized matrix as column
-blocks, and ``columns(cols, order)`` copies out the columns a product needs.
-The phenotypes copy out the columns of groups b, c and d on either route,
-so only the other columns count: while they hold at most _HELD_CELLS cells
-(n*(m - m_b - m_c - m_d) <= 2^23, 64 MB of float64) the source is
-``standardize(gm)``, held whole as its one block.  Above that it is a
-_StreamedGenotypes: the int8 dosages of the polymorphic columns plus their
-column means and sds, found in one pass over int8 column blocks, from which
-every pass recomputes float64 blocks of about 2^18 cells (2 MB).  A table4
-null_50000 replicate (n=1000, m=53000, 50000 of them in group a) then holds
-53 MB of dosages and one 2 MB block instead of a 424 MB float64 matrix; an
-s3 n10000 row (n=10000, m=1000, all in group b) would copy its whole matrix
-for the phenotypes anyway, so it is held.  Both routes compute through
-one helper, _centred, so a streamed value equals the held one bit for bit.
-
-Each block starts at a multiple of 64 columns.  A BLAS product over a block
-treats each column by its place in the block: in a probe, products over
-blocks starting at multiples of 8 gave the bits of the whole-matrix product
-and blocks 131 columns wide did not.  A last block one column wide joins the
-block before it, because einsum sums a lone column in another order.
+A Monte-Carlo replicate and `tsre estimate` never hold the n x m float64
+standardized matrix.  They read the int8 dosages in column blocks of about
+_CHUNK_CELLS cells (2 MB), each cast into one reused float64 buffer and
+centred on its column means there.  Two reads do all the work:
+_standardized_product gives Z @ W for the columns that carry effects (the
+phenotypes), and _read_dosages takes, in one pass over every column, the
+column means and sds, the products of the centred traits with the
+standardized columns and the row norms d_i = |z_i|^2/m.  Neither divides a
+cell by its sd; each scales its products instead.  _read_dosages returns a
+_DosageSource, the dosages of the polymorphic columns with their means and
+sds, which recomputes only the columns a later product needs.  A table4
+null_50000 replicate (n=1000, m=53000) holds 53 MB of dosages and one 2 MB
+block instead of a 424 MB matrix.  standardize, which holds the matrix
+whole, serves `tsre grm`, `tsre simulate` and the GRM of --grm-cutoff.
 """
 
 from __future__ import annotations
@@ -57,14 +50,9 @@ __all__ = [
 _GRM_MAGIC = b"GRM1"
 _PANEL_ROWS = 256
 _DOSAGES = frozenset("012")
-# Cells per chunk of the dosage sampler (one reused 2 MB float64 buffer) and
-# per column block of a streamed standardized matrix.
+# Cells per chunk of the dosage sampler and per column block of a dosage
+# read, each in one reused 2 MB float64 buffer.
 _CHUNK_CELLS = 1 << 18
-# Most float64 cells a replicate holds whole beyond the columns it copies
-# out anyway (see _standardized_source).
-_HELD_CELLS = 1 << 23
-# Column blocks start at multiples of this (see the module docstring).
-_BLOCK_ALIGN = 64
 # The largest double Generator.random returns.
 _U_MAX = 1.0 - 2.0**-53
 
@@ -119,24 +107,11 @@ class StandardizedGenotypes:
     def m(self) -> int:
         return self.values.shape[1]
 
-    def blocks(self):
-        """The standardized matrix as column blocks: values is the one block."""
-        return (self.values,)
-
-    def columns(self, cols, order: str) -> np.ndarray:
-        """Columns cols (a slice or an index list) in memory order "C" or "F";
-        a column slice in "C" order is a view of values."""
-        picked = self.values[:, cols]
-        if isinstance(cols, slice) and order == "C":
-            return picked  # each row of a column slice is contiguous
-        return np.asarray(picked, order=order)
-
 
 @dataclass
-class _StreamedGenotypes:
+class _DosageSource:
     """Standardized genotypes kept as the int8 dosages of the polymorphic
-    columns plus their column means and sds.  Every pass recomputes float64
-    columns from the dosages with the arithmetic of standardize."""
+    columns plus their column means and sds (see _read_dosages)."""
 
     dosages: np.ndarray
     mean: np.ndarray
@@ -152,14 +127,9 @@ class _StreamedGenotypes:
     def m(self) -> int:
         return self.dosages.shape[1]
 
-    def blocks(self):
-        """Standardized column blocks of about _CHUNK_CELLS cells, in order."""
-        for c0, c1 in _column_blocks(self.n, self.m):
-            yield self.columns(slice(c0, c1), "C")
-
     def columns(self, cols, order: str) -> np.ndarray:
-        """Columns cols (a slice or an index list) as a new array in memory
-        order "C" or "F"; its bits are those of standardize(gm).values[:, cols]."""
+        """Standardized columns cols (a slice or an index list) as a new
+        float64 array in memory order "C" or "F"."""
         values = self.dosages[:, cols].astype(np.float64, order=order)
         values -= self.mean[cols]
         values /= self.sd[cols]
@@ -279,23 +249,15 @@ def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:
     Monomorphic columns carry no information and would divide by zero, so
     they are dropped and their original indices recorded.
     """
-    values, _, sd = _centred(gm.dosages)
+    values = gm.dosages.astype(np.float64)
+    values -= values.mean(axis=0)
+    sd = np.sqrt(np.einsum("ij,ij->j", values, values) / len(values))
     keep, kept_ids, dropped = _polymorphic(gm, sd)
     if dropped:
         # a boolean column selection comes back Fortran-ordered
         values = np.ascontiguousarray(values[:, keep])
     values /= sd[keep]
     return StandardizedGenotypes(values=values, variant_ids=kept_ids, dropped_variants=dropped)
-
-
-def _centred(dosages: np.ndarray):
-    """(values, mean, sd): the dosages as float64 centred on their column
-    means, those means, and the column sds with the 1/n denominator."""
-    values = dosages.astype(np.float64)
-    mean = values.mean(axis=0)
-    values -= mean
-    sd = np.sqrt(np.einsum("ij,ij->j", values, values) / len(values))
-    return values, mean, sd
 
 
 def _polymorphic(gm: GenotypeMatrix, sd: np.ndarray):
@@ -308,45 +270,64 @@ def _polymorphic(gm: GenotypeMatrix, sd: np.ndarray):
     return keep, kept_ids, np.flatnonzero(~keep).tolist()
 
 
-def _column_blocks(n: int, m: int) -> list[tuple[int, int]]:
-    """Column ranges [c0, c1) of about _CHUNK_CELLS cells, each starting at a
-    multiple of _BLOCK_ALIGN; a last range one column wide joins the one
-    before it (see the module docstring)."""
-    width = max(1, _CHUNK_CELLS // (n * _BLOCK_ALIGN)) * _BLOCK_ALIGN
-    starts = list(range(0, m, width))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [m]))
+def _centred_blocks(dosages: np.ndarray):
+    """Yield (c0, c1, c, mean, ss) for column blocks [c0, c1) of about
+    _CHUNK_CELLS cells: c is the block cast into one reused float64 buffer
+    and centred on its column means, ss its column sums of squares.  c is
+    overwritten by the next block."""
+    n, m = dosages.shape
+    width = max(1, _CHUNK_CELLS // n)
+    buf = np.empty(n * min(width, m))
+    for c0 in range(0, m, width):
+        c1 = min(c0 + width, m)
+        c = buf[: n * (c1 - c0)].reshape(n, c1 - c0)
+        np.copyto(c, dosages[:, c0:c1])
+        mean = c.mean(axis=0)
+        c -= mean
+        yield c0, c1, c, mean, np.einsum("ij,ij->j", c, c)
 
 
-def _standardized_source(
-    gm: GenotypeMatrix, copied: int = 0
-) -> StandardizedGenotypes | _StreamedGenotypes:
-    """The standardized genotypes of gm as a replicate reads them.
+def _standardized_product(dosages: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Z @ w for Z the standardized columns of dosages, read in int8 column
+    blocks; a monomorphic column, which has no standardized form, is a
+    DataError."""
+    n = dosages.shape[0]
+    out = np.zeros((n, w.shape[1]))
+    for c0, c1, c, _, ss in _centred_blocks(dosages):
+        if not ss.all():
+            raise DataError("cannot standardize a monomorphic column")
+        out += c @ (w[c0:c1] / np.sqrt(ss / n)[:, None])
+    return out
 
-    copied is the number of columns the caller copies out as float64 anyway
-    (a replicate's phenotype groups b, c and d).  Streaming saves only the
-    other n*(m - copied) cells, so up to _HELD_CELLS of them the source is
-    standardize(gm); above that it is a _StreamedGenotypes whose means and
-    sds come from one pass over int8 column blocks.
+
+def _read_dosages(gm: GenotypeMatrix, traits: np.ndarray | None = None):
+    """One read of gm's dosages in int8 column blocks.
+
+    traits, if given, is a (k, n) array of centred traits.  Returns (source,
+    gram, products, d) over the polymorphic columns: their _DosageSource,
+    their Grams, the (k, m) products traits @ Z, and the row norms
+    d_i = |z_i|^2 / m.  Monomorphic columns are dropped as in standardize.
     """
-    if gm.n * (gm.m - copied) <= _HELD_CELLS:
-        return standardize(gm)
-    stats = [_centred(gm.dosages[:, c0:c1])[1:] for c0, c1 in _column_blocks(gm.n, gm.m)]
-    mean, sd = (np.concatenate(part) for part in zip(*stats))
+    n, m = gm.n, gm.m
+    traits = np.empty((0, n)) if traits is None else traits
+    mean, ss, raw = np.empty(m), np.empty(m), np.empty((len(traits), m))
+    d = np.zeros(n)
+    for c0, c1, c, mu, s in _centred_blocks(gm.dosages):
+        mean[c0:c1], ss[c0:c1] = mu, s
+        raw[:, c0:c1] = traits @ c
+        c *= c
+        d += c @ np.divide(n, s, out=np.zeros_like(s), where=s > 0.0)  # 1/sd^2
+    sd = np.sqrt(ss / n)
     keep, kept_ids, dropped = _polymorphic(gm, sd)
     dosages = np.compress(keep, gm.dosages, axis=1) if dropped else gm.dosages
-    return _StreamedGenotypes(dosages, mean[keep], sd[keep], kept_ids, dropped)
+    sd = sd[keep]
+    source = _DosageSource(dosages, mean[keep], sd, kept_ids, dropped)
+    return source, ss[keep] / (sd * sd), raw[:, keep] / sd, d / sd.size
 
 
-def _row_norms(blocks) -> np.ndarray:
-    """d_i = |z_i|^2 / m, the GRM diagonal, from the column blocks of a
-    standardized matrix (std.blocks(), or one block of selected columns)."""
-    d, m = 0.0, 0
-    for z in blocks:
-        d = d + np.einsum("ij,ij->i", z, z)
-        m += z.shape[1]
-    return d / m
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """d_i = |z_i|^2 / m, the GRM diagonal, from standardized columns z."""
+    return np.einsum("ij,ij->i", z, z) / z.shape[1]
 
 
 def _grm_panel(values: np.ndarray, tri: np.ndarray, r0: int, r1: int, m_eff: int) -> None:

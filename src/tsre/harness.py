@@ -39,9 +39,8 @@ from .estimators import (
 from .genotype import (
     GenotypeMatrix,
     Grm,
-    StandardizedGenotypes,
+    _read_dosages,
     _row_norms,
-    _standardized_source,
     check_cutoff,
     compute_grm,
     filter_related,
@@ -51,7 +50,7 @@ from .genotype import (
     standardize,
 )
 from .simulate import ScenarioConfig, sample_effects, generate_phenotypes
-from .sumstats import per_variant_regression, select_by_pvalue, select_top_k
+from .sumstats import _dosage_summaries, select_by_pvalue, select_top_k
 
 __all__ = [
     "ReplicationSpec", "ReplicateResult", "RealDataResult", "run_scenario",
@@ -187,27 +186,29 @@ _SUMMARY_METHODS = {
 }
 
 
-def _run_method(tag, selection, std, summaries, x, y, rng_for) -> Estimate:
+def _run_method(tag, selection, source, summaries, d, x, y, rng_for) -> Estimate:
     """Run one checked (method, selection) pair.
 
-    std is a standardized-genotype source, held whole or streamed in column
-    blocks (genotype module docstring).  tsre fits from the selected
-    summaries plus the row norms of the selected columns, building no GRM
-    and taking no product of the genotypes with the traits
-    (engine._summary_fit).
+    summaries, source and d come from one read of the int8 dosages
+    (sumstats._dosage_summaries).  tsre fits from the selected summaries
+    plus the row norms of the selected columns, which on 'all' are d, so it
+    builds no GRM and takes no product of the genotypes with the traits
+    (engine._summary_fit).  tsls and tsre on a subset recompute only the
+    standardized columns they select.
     """
     cols = _select(summaries, selection)
     if tag == "tsls":
         # A Fortran-ordered column copy even for 'all': 2SLS on C-ordered
-        # columns differs in the last bits, and a streamed source has no
-        # matrix to hand over anyway.  K > n fails before anything is copied.
-        cols = np.arange(std.m) if cols is None else cols
-        _check_instruments(std.n, len(cols))
-        return tsls(std.columns(cols, "F"), x, y)
+        # columns differs in the last bits.  K > n fails before anything is
+        # copied.
+        cols = np.arange(source.m) if cols is None else cols
+        _check_instruments(source.n, len(cols))
+        return tsls(source.columns(cols, "F"), x, y)
     selected = summaries if cols is None else summaries[cols]
     if tag == "tsre":
-        blocks = std.blocks() if cols is None else (std.columns(cols, "C"),)
-        return _summary_fit(selected, _row_norms(blocks), x, y)
+        if cols is not None:
+            d = _row_norms(source.columns(cols, "C"))
+        return _summary_fit(selected, d, x, y)
     return _SUMMARY_METHODS[tag](selected, rng_for)
 
 
@@ -215,18 +216,20 @@ def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
     Returns a list aligned with the (method, selection) jobs; entries are
-    (theta_hat, se) or None for a failed estimator.  When the columns
-    outside the phenotype groups b, c and d hold more than 2^23 cells, the
-    standardized genotypes are streamed from the int8 dosages in column
-    blocks, so the replicate never holds its n x m float64 matrix.
+    (theta_hat, se) or None for a failed estimator.  The replicate reads its
+    int8 dosages twice, in column blocks: once for the phenotypes and once
+    for the summaries and row norms (genotype module docstring), so it never
+    holds its n x m float64 standardized matrix.  A monomorphic column,
+    which the effect layout cannot drop, fails every job.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
     try:
-        std = _standardized_source(gm, copied=cfg.m_total - cfg.m_a)
-        pheno = generate_phenotypes(std, sample_effects(cfg, rng), cfg, rng)
-        summaries = per_variant_regression(std, pheno.x, pheno.y)
+        pheno = generate_phenotypes(gm, sample_effects(cfg, rng), cfg, rng)
+        summaries, source, d = _dosage_summaries(gm, pheno.x, pheno.y)
+        if source.dropped_variants:
+            raise DataError("a replicate's variant groups hold a monomorphic column")
     except TsreError:
         return [None] * len(jobs)
 
@@ -237,7 +240,7 @@ def _replicate_outcomes(args):
     out = []
     for tag, selection in jobs:
         try:
-            est = _run_method(tag, selection, std, summaries, pheno.x, pheno.y, rng_for)
+            est = _run_method(tag, selection, source, summaries, d, pheno.x, pheno.y, rng_for)
             out.append((est.theta_hat, est.se))
         except TsreError:
             out.append(None)
@@ -638,25 +641,26 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     )
 
 
-def _load_checked_grm(path, std: StandardizedGenotypes, ids) -> Grm:
+def _load_checked_grm(path, gm: GenotypeMatrix, ids) -> Grm:
     """Load a precomputed GRM, which must be the all-variant GRM of the aligned
-    sample: the same n and m, and the diagonal |z_i|^2 / m of its standardized rows."""
+    sample gm: the same n and m, and the diagonal |z_i|^2 / m of its
+    standardized rows."""
+    source, _, _, diag = _read_dosages(gm)
     grm = load_grm(path)
-    if grm.n != std.n:
+    if grm.n != gm.n:
         raise DataError(
-            f"{path}: GRM has n={grm.n} but {std.n} individuals remain after alignment"
+            f"{path}: GRM has n={grm.n} but {gm.n} individuals remain after alignment"
         )
-    if grm.m_effective != std.m:
+    if grm.m_effective != source.m:
         raise DataError(
             f"{path}: GRM was built from {grm.m_effective} variants but the "
-            f"genotypes have {std.m} polymorphic variants"
+            f"genotypes have {source.m} polymorphic variants"
         )
-    diag = _row_norms(std.blocks())
     bad = np.flatnonzero(np.abs(grm.diagonal() - diag) > 1e-9 * np.abs(diag))
     if bad.size:
         raise DataError(
             f"{path}: GRM diagonal does not match the genotypes for {bad.size} of "
-            f"{std.n} individuals (first: {ids[bad[0]]!r}); was it built from "
+            f"{gm.n} individuals (first: {ids[bad[0]]!r}); was it built from "
             "another sample?"
         )
     return grm
@@ -671,14 +675,15 @@ def estimate_real(
     grm_cutoff: float | None = None,
     grm_path=None,
 ) -> RealDataResult:
-    """File-based estimation: load, align, filter, standardize, estimate.
+    """File-based estimation: load, align, filter, summarize, estimate.
 
     grm_cutoff removes one member of every pair more related than the
     cutoff before estimation.  grm_path supplies a precomputed GRM; it must
     match the aligned sample in n, m and its diagonal, and then serves only
-    that filtering step.  Without it the filter builds the GRM itself.
-    Genotypes are re-standardized after any filtering, and every method,
-    tsre included, fits on them.
+    that filtering step.  Without it the filter builds the GRM itself from
+    the standardized matrix.  The kept sample's dosages are then read once
+    in int8 column blocks for the summaries and row norms (genotype module
+    docstring), and every method, tsre included, fits on them.
     """
     selection = selection or default_selection(method)
     _check_jobs([(method, selection)])
@@ -689,18 +694,18 @@ def estimate_real(
     rows, ids, x, y = _align(gm, load_phenotype(exposure), load_phenotype(outcome))
     gm = _subset_genotypes(gm, rows, ids)
 
-    std = standardize(gm)
-    grm = None if grm_path is None else _load_checked_grm(grm_path, std, ids)
+    grm = None if grm_path is None else _load_checked_grm(grm_path, gm, ids)
     if grm_cutoff is not None:
-        kept = filter_related(compute_grm(std) if grm is None else grm, grm_cutoff)
+        kept = filter_related(compute_grm(standardize(gm)) if grm is None else grm, grm_cutoff)
         if kept.size < gm.n:
             gm = _subset_genotypes(gm, kept, [ids[k] for k in kept])
             x = x[kept]
             y = y[kept]
-            std = standardize(gm)
     if gm.n < 3:
         raise EstimationError(f"only {gm.n} individuals remain after filtering")
 
-    summaries = per_variant_regression(std, x, y)
-    est = _run_method(method, selection, std, summaries, x, y, lambda _: np.random.default_rng(0))
+    summaries, source, d = _dosage_summaries(gm, x, y)
+    est = _run_method(
+        method, selection, source, summaries, d, x, y, lambda _: np.random.default_rng(0)
+    )
     return RealDataResult(method, est.theta_hat, est.se, gm.n, est.n_iv)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, open_text
-from .genotype import StandardizedGenotypes
+from .genotype import GenotypeMatrix, StandardizedGenotypes, _standardized_product
 
 __all__ = [
     "ScenarioConfig",
@@ -165,32 +165,34 @@ def sample_effects(cfg: ScenarioConfig, rng) -> EffectSet:
 
 
 def generate_phenotypes(
-    std: StandardizedGenotypes, effects: EffectSet, cfg: ScenarioConfig, rng
+    genotypes: StandardizedGenotypes | GenotypeMatrix, effects: EffectSet, cfg: ScenarioConfig, rng
 ) -> PhenotypePair:
     """Build the exposure/outcome pair on the standardized genotype scale.
 
-    std is any standardized-genotype source (genotype module docstring);
-    only the columns of groups b, c and d are read."""
-    if std.m != cfg.m_total:
+    genotypes is the standardized matrix, or the dosages themselves, which
+    are then read in int8 column blocks (genotype module docstring).  Only
+    the columns of groups b, c and d are read."""
+    if genotypes.m != cfg.m_total:
         raise DataError(
-            f"standardized matrix has {std.m} columns but the effect layout expects "
+            f"genotype matrix has {genotypes.m} columns but the effect layout expects "
             f"{cfg.m_total} (monomorphic columns were dropped?)"
         )
-    _, b, c, d = (slice(*cols) for cols in group_layout(cfg).values())
-    beta, alpha = effects.beta, effects.alpha
-    # per-group products: Z @ beta would also multiply the zero columns
-    z_c = std.columns(c, "C")
-    genetic_x = std.columns(b, "C") @ beta[b] + z_c @ beta[c]
-    genetic_y = z_c @ alpha[c] + std.columns(d, "C") @ alpha[d]
+    # groups b, c and d: Z @ beta would also multiply group a's zero effects
+    cols = slice(cfg.m_a, cfg.m_total)
+    w = np.column_stack([effects.beta[cols], effects.alpha[cols]])
+    if isinstance(genotypes, GenotypeMatrix):
+        genetic = _standardized_product(genotypes.dosages[:, cols], w)
+    else:
+        genetic = genotypes.values[:, cols] @ w
 
-    u1 = rng.standard_normal(std.n)
-    u2 = rng.standard_normal(std.n)
+    u1 = rng.standard_normal(genotypes.n)
+    u2 = rng.standard_normal(genotypes.n)
     e_x = math.sqrt(cfg.sigma2_ex) * u1
     e_y = math.sqrt(cfg.sigma2_ey) * (
         cfg.rho_e * u1 + math.sqrt(1.0 - cfg.rho_e**2) * u2
     )
-    x = genetic_x + e_x
-    y = cfg.theta * x + genetic_y + e_y
+    x = genetic[:, 0] + e_x
+    y = cfg.theta * x + genetic[:, 1] + e_y
     return PhenotypePair(x=x, y=y)
 
 

@@ -144,6 +144,9 @@ class TestEstimateCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "5"
 
+    # the warning is what this test reads, so the "error" filter of the
+    # test configuration must let it through to the CLI's printer
+    @pytest.mark.filterwarnings("default:requested top 50:UserWarning")
     def test_oversized_top_k_warns_in_one_line(self, dataset, capsys):
         # 33 variants: 25 exposure-only and 8 pleiotropic
         assert main(self._argv(dataset, "ivw", "--select", "all")) == 0

@@ -17,6 +17,7 @@ from tsre.engine import (
 )
 from tsre.errors import DataError, EstimationError
 from tsre.genotype import Grm, compute_grm, simulate_genotypes, standardize
+from tsre.sumstats import _dosage_summaries
 
 from conftest import dense_to_packed, random_standardized
 
@@ -228,26 +229,28 @@ class TestTsreEstimate:
 
     @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
     def test_genotypes_give_the_grm_fit(self, n, m, monkeypatch):
-        # both shapes, m <= n and m > n, held whole and streamed, fit from
-        # the per-variant summaries and the row norms without a GRM
+        # both shapes, m <= n and m > n, standardized whole and read from
+        # int8 dosages in several blocks, fit from the per-variant summaries
+        # and the row norms without a GRM
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * n)
         rng = np.random.default_rng(n + m)
         gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
         std = standardize(gm)
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
-        streamed = genotype._standardized_source(gm)
-        assert isinstance(streamed, genotype._StreamedGenotypes)
         grm = compute_grm(std)
         x = std.values @ rng.normal(0, 0.5, size=std.m) + rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
         via_grm = tsre_estimate(grm, x, y)
-        for source in (std, streamed):
-            direct = tsre_estimate(source, x, y)
+        summaries, _, d = _dosage_summaries(gm, x, y)
+        for direct in (tsre_estimate(std, x, y), engine._summary_fit(summaries, d, x, y)):
             np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
             np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
             assert direct.n_iv == via_grm.n_iv == std.m
-        for source in (std, streamed, grm):
-            with pytest.raises(EstimationError, match="no signal: the exposure does not vary"):
+        no_signal = "no signal: the exposure does not vary"
+        for source in (std, grm):
+            with pytest.raises(EstimationError, match=no_signal):
                 tsre_estimate(source, np.full(n, 2.0), y)
+        with pytest.raises(EstimationError, match=no_signal):
+            _dosage_summaries(gm, np.full(n, 2.0), y)
 
     def test_permutation_invariance(self):
         a, x, y = _random_problem(19, n=12)

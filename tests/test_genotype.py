@@ -12,7 +12,6 @@ from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
     GenotypeMatrix,
     Grm,
-    StandardizedGenotypes,
     compute_grm,
     filter_related,
     load_genotypes,
@@ -22,6 +21,9 @@ from tsre.genotype import (
     simulate_genotypes,
     standardize,
 )
+
+from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
+from tsre.sumstats import SUMMARY_DTYPE, _dosage_summaries, per_variant_regression
 
 from conftest import packed_to_dense, random_standardized
 
@@ -215,13 +217,16 @@ class TestStandardize:
             standardize(gm)
 
 
-def _same_bits(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def _assert_close(got, want, tol=1e-12):
+    """got equals want to tol relative to the largest |want|: a near-zero
+    entry is a difference of large terms, whose rounding scales with them."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol * np.max(np.abs(want)))
 
 
-class TestStandardizedSource:
-    """A replicate's standardized genotypes: held whole up to _HELD_CELLS
-    cells, streamed from int8 dosages above, with the bits of standardize."""
+class TestDosageReads:
+    """The int8 reads of a replicate and of `tsre estimate` against the
+    standardized matrix held whole."""
 
     @staticmethod
     def _matrix(n, m, monomorphic=()):
@@ -229,72 +234,76 @@ class TestStandardizedSource:
         gm.dosages[:, list(monomorphic)] = 1
         return gm
 
-    @staticmethod
-    def _assert_columns_match(src, want, m):
-        cols = [m - 1, 0, 3, m // 2, 3]
-        got = src.columns(cols, "F")
-        ref = want.values[:, cols]
-        assert ref.flags.f_contiguous and got.flags.f_contiguous
-        assert _same_bits(got, ref)
-        got = src.columns(cols, "C")
-        assert got.flags.c_contiguous and _same_bits(got, np.ascontiguousarray(ref))
-        got = src.columns(slice(2, m - 1), "C")
-        assert _same_bits(np.ascontiguousarray(got), want.values[:, 2 : m - 1].copy())
-
     @pytest.mark.parametrize(
-        "n,m,monomorphic,widths",
+        "n,m,monomorphic,chunk",
         [
-            # three monomorphic columns, 832-column blocks, a narrower last one
-            (300, 2000, (5, 900, 1999), [832, 832, 333]),
-            # n > 2048: blocks are 64 columns wide
-            (2100, 130, (), [64, 64, 2]),
-            # a last block one column wide joins the block before it
-            (2100, 129, (), [64, 65]),
+            # three monomorphic columns, blocks of 873 columns
+            (300, 2000, (5, 900, 1999), None),
+            # n > _CHUNK_CELLS / 64: blocks 64 columns wide, the last two
+            (2100, 130, (), 64 * 2100),
+            # blocks 5 columns wide, the last one column wide
+            (50, 21, (3,), 5 * 50),
+            # one column per block
+            (40, 6, (), 1),
         ],
     )
-    def test_streamed_blocks_are_standardize(self, monkeypatch, n, m, monomorphic, widths):
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+    def test_fused_read_is_standardize(self, monkeypatch, n, m, monomorphic, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(genotype, "_CHUNK_CELLS", chunk)
         gm = self._matrix(n, m, monomorphic)
-        src = genotype._standardized_source(gm)
+        rng = np.random.default_rng(m)
+        x = 3.0 + rng.normal(size=n)
+        y = 0.3 * x + rng.normal(size=n)
         want = standardize(gm)
-        assert isinstance(src, genotype._StreamedGenotypes)
-        assert src.dosages.dtype == np.int8 and src.dosages.flags.c_contiguous
-        assert (src.n, src.m) == (want.n, want.m)
-        assert src.variant_ids == want.variant_ids
-        assert src.dropped_variants == want.dropped_variants == sorted(monomorphic)
-        blocks = list(src.blocks())
-        assert [block.shape[1] for block in blocks] == widths
-        assert all(block.flags.c_contiguous for block in blocks)
-        assert _same_bits(np.concatenate(blocks, axis=1), want.values)
-        self._assert_columns_match(src, want, want.m)
+        summaries, source, d = _dosage_summaries(gm, x, y)
+        assert source.dosages.dtype == np.int8
+        assert (source.n, source.m) == (want.n, want.m)
+        assert source.variant_ids == want.variant_ids == summaries.variant_id.tolist()
+        assert source.dropped_variants == want.dropped_variants == sorted(monomorphic)
+        dense = per_variant_regression(want, x, y)
+        for name in SUMMARY_DTYPE.names[1:]:
+            _assert_close(summaries[name], dense[name])
+        _assert_close(d, genotype._row_norms(want.values))
+        cols = [want.m - 1, 0, 3, want.m // 2, 3]
+        for order in ("C", "F"):
+            got = source.columns(cols, order)
+            assert got.flags[f"{order}_CONTIGUOUS"]
+            _assert_close(got, want.values[:, cols], 1e-15)
+        _assert_close(source.columns(slice(1, want.m - 1), "C"), want.values[:, 1:-1], 1e-15)
 
-    def test_held_source_is_one_block(self):
-        gm = self._matrix(200, 300, (7,))
-        assert gm.n * gm.m <= genotype._HELD_CELLS
-        src = genotype._standardized_source(gm)
+    def test_read_without_traits_gives_the_row_norms(self):
+        gm = self._matrix(30, 12, (4,))
+        source, gram, products, d = genotype._read_dosages(gm)
         want = standardize(gm)
-        assert isinstance(src, StandardizedGenotypes)
-        assert src.dropped_variants == [7]
-        (block,) = src.blocks()
-        assert block is src.values
-        assert _same_bits(block, want.values)
-        self._assert_columns_match(src, src, src.m)
-        assert np.shares_memory(src.columns(slice(1, 5), "C"), src.values)  # a view
+        assert products.shape == (0, want.m)
+        _assert_close(gram, np.full(want.m, 30.0))
+        _assert_close(d, genotype._row_norms(want.values))
+        assert source.dropped_variants == [4]
 
-    def test_copied_columns_do_not_count(self, monkeypatch):
-        # streaming saves only the cells outside the columns the caller copies
-        # out anyway, so those alone choose the route
-        gm = self._matrix(50, 40)
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 50 * 10)
-        assert isinstance(genotype._standardized_source(gm, copied=30), StandardizedGenotypes)
-        streamed = genotype._standardized_source(gm, copied=29)
-        assert isinstance(streamed, genotype._StreamedGenotypes)
-
-    def test_streamed_all_monomorphic_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
+    def test_all_monomorphic_is_an_error(self):
         gm = GenotypeMatrix(dosages=np.ones((4, 3), dtype=np.int8), variant_ids=["a", "b", "c"])
         with pytest.raises(DataError, match="monomorphic"):
-            genotype._standardized_source(gm)
+            genotype._read_dosages(gm)
+
+    @pytest.mark.parametrize("chunk", [None, 7 * 120])
+    def test_int8_phenotypes_are_the_dense_ones(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(genotype, "_CHUNK_CELLS", chunk)
+        cfg = ScenarioConfig(n=120, m_a=30, m_b=20, m_c=15, m_d=10, sigma_gb=0.1,
+                             sigma_gc_x=0.1, sigma_gc_y=0.1, sigma_gd=0.1, theta=0.3)
+        gm = simulate_genotypes(cfg.n, cfg.m_total, 0.2, 0.3, np.random.default_rng(4))
+        effects = sample_effects(cfg, np.random.default_rng(5))
+        got = generate_phenotypes(gm, effects, cfg, np.random.default_rng(6))
+        want = generate_phenotypes(standardize(gm), effects, cfg, np.random.default_rng(6))
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12)
+        np.testing.assert_allclose(got.y, want.y, rtol=1e-12)
+
+    def test_int8_phenotypes_refuse_a_monomorphic_column(self):
+        cfg = ScenarioConfig(n=40, m_a=3, m_b=4, sigma_gb=0.1)
+        gm = self._matrix(cfg.n, cfg.m_total, (5,))
+        effects = sample_effects(cfg, np.random.default_rng(0))
+        with pytest.raises(DataError, match="monomorphic"):
+            generate_phenotypes(gm, effects, cfg, np.random.default_rng(0))
 
 
 class TestComputeGrm:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
-    StandardizedGenotypes,
     compute_grm,
     load_genotypes,
     save_genotypes,
@@ -35,9 +35,10 @@ from tsre.harness import (
     save_phenotype,
 )
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
-from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression
+from tsre.estimators import ivw
+from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression, select_top_k
 
-from conftest import assert_same_summaries, packed_to_dense
+from conftest import packed_to_dense
 
 DEFAULT_JOBS = [(tag, default_selection(tag)) for tag in DEFAULT_METHODS]
 
@@ -59,22 +60,6 @@ def _tiny_cfg(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
-
-
-def _replicate_pieces(monkeypatch, cfg, jobs):
-    """One replicate's outcomes, with the genotype source it standardized
-    into, the widths of its blocks, its phenotypes and its summaries."""
-    seen = {}
-
-    def spy(std, x, y):
-        seen["source"] = type(std)
-        seen["blocks"] = [block.shape[1] for block in std.blocks()]
-        seen["x"], seen["y"] = x, y
-        seen["summaries"] = per_variant_regression(std, x, y)
-        return seen["summaries"]
-
-    monkeypatch.setattr(harness, "per_variant_regression", spy)
-    return seen, harness._replicate_outcomes((cfg, jobs, 5, 0, 0))
 
 
 class TestSelectionSpecs:
@@ -125,7 +110,8 @@ class TestRunScenario:
     def test_aggregates_match_numpy_oracle(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=5, seed=11)
-        results = run_scenario(cfg, spec, jobs=[("tsre", "all"), ("ivw", "top:20")])
+        with pytest.warns(UserWarning, match="requested top 20"):
+            results = run_scenario(cfg, spec, jobs=[("tsre", "all"), ("ivw", "top:20")])
         for res in results:
             assert res.reps == 5
             assert res.reps_failed == 0
@@ -140,8 +126,9 @@ class TestRunScenario:
     def test_thread_count_does_not_change_results(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=6, seed=3)
-        serial = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=1)
-        threaded = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=2)
+        with pytest.warns(UserWarning, match="requested top 20"):
+            serial = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=1)
+            threaded = run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=2)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.ses, b.ses)
@@ -167,30 +154,34 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         cfg = _tiny_cfg()
         jobs = [("tsre", "all"), ("ivw", "top:20")]
-        run_scenario(cfg, ReplicationSpec(reps=3, seed=1), jobs=jobs, threads=8)
-        assert started == [3]
         spec = ReplicationSpec(reps=1, seed=1)
-        one = run_scenario(cfg, spec, jobs=jobs, threads=4)
-        assert started == [3]
-        for a, b in zip(one, run_scenario(cfg, spec, jobs=jobs, threads=1)):
+        with pytest.warns(UserWarning, match="requested top 20"):
+            run_scenario(cfg, ReplicationSpec(reps=3, seed=1), jobs=jobs, threads=8)
+            assert started == [3]
+            one = run_scenario(cfg, spec, jobs=jobs, threads=4)
+            assert started == [3]
+            serial = run_scenario(cfg, spec, jobs=jobs, threads=1)
+        for a, b in zip(one, serial):
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.ses, b.ses)
 
     def test_method_subset_does_not_change_numbers(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=4, seed=7)
-        all_res = run_scenario(cfg, spec, jobs=DEFAULT_JOBS)
-        only_wm = run_scenario(cfg, spec, jobs=[("wm", "top:20")])
+        with pytest.warns(UserWarning, match="requested top 20"):
+            all_res = run_scenario(cfg, spec, jobs=DEFAULT_JOBS)
+            only_wm = run_scenario(cfg, spec, jobs=[("wm", "top:20")])
         wm_full = next(r for r in all_res if r.method == "wm")
         assert np.array_equal(only_wm[0].estimates, wm_full.estimates)
         assert np.array_equal(only_wm[0].ses, wm_full.ses)
 
     def test_table2_row_numbers_are_pinned(self):
-        # every estimate and se of three replicates of a builtin row, recorded
-        # when dosages came from rng.binomial and the median bootstraps were
-        # not computed in place: neither speed-up may move a single bit.  tsre
-        # is recorded from its fit on the summaries and row norms, which
-        # moved it by at most 1.7e-14 relative from its fit on Z'x and Z'y
+        # every estimate and se of three replicates of a builtin row.  The
+        # sampler and the in-place median bootstraps kept every bit when
+        # they came in; these literals were re-recorded when phenotypes,
+        # summaries and row norms came to be read from the int8 dosages,
+        # which moved every method by rounding only (at most 3.3e-13
+        # relative, egger; tsre 1.8e-14, tsls 6.3e-16)
         rows = builtin_rows("table2")
         key = next(i for i, row in enumerate(rows) if row[0] == "balanced_rho00_weak80")
         row_id, cfg, _ = rows[key]
@@ -200,32 +191,32 @@ class TestRunScenario:
         got = {r.method: (r.estimates.tolist(), r.ses.tolist()) for r in results}
         assert got == {
             "sm": (
-                [0.3418740398971143, 0.2743232434605061, 0.3960140794498299],
-                [0.08940701466516393, 0.09207282671203579, 0.07518868776204636],
+                [0.34187403989711374, 0.27432324346050607, 0.39601407944982925],
+                [0.08940701466516433, 0.09207282671203594, 0.07518868776204621],
             ),
             "wm": (
-                [0.3517442749786354, 0.27474928827583667, 0.4224559796366092],
-                [0.089173430951214, 0.09217991279589259, 0.07211447174235174],
+                [0.35174427497863575, 0.2747492882758368, 0.4224559796366082],
+                [0.08917343095121405, 0.0921799127958928, 0.07211447174235151],
             ),
             "ivw": (
-                [0.32152787622709017, 0.32246273174862633, 0.3590462096728161],
-                [0.07004752968522585, 0.07838372201670354, 0.05079863573282538],
+                [0.32152787622709134, 0.3224627317486294, 0.3590462096728153],
+                [0.07004752968522604, 0.07838372201670375, 0.050798635732825254],
             ),
             "ivw_fe": (
-                [0.32152787622709017, 0.32246273174862633, 0.3590462096728161],
-                [0.05510639826411303, 0.060700424519826754, 0.05079863573282538],
+                [0.32152787622709134, 0.3224627317486294, 0.3590462096728153],
+                [0.05510639826411308, 0.0607004245198269, 0.050798635732825254],
             ),
             "egger": (
-                [0.4750368303588137, 0.3291192146257844, 0.6276338639844165],
-                [0.32824028324875565, 0.4801940976007672, 0.2653992475991973],
+                [0.4750368303588303, 0.32911921462589167, 0.627633863984382],
+                [0.32824028324875143, 0.4801940976007802, 0.265399247599189],
             ),
             "tsre": (
-                [0.2686272068383465, 0.312174531609268, 0.3311266676536203],
-                [0.05522058039666567, 0.04949221739524275, 0.036384108516563186],
+                [0.26862720683834884, 0.3121745316092735, 0.3311266676536205],
+                [0.05522058039666571, 0.049492217395242975, 0.03638410851656296],
             ),
             "tsls": (
-                [0.327283674003754, 0.32002115553943045, 0.353945681656732],
-                [0.04791220965238556, 0.05367711153290034, 0.0460595609039684],
+                [0.3272836740037541, 0.32002115553943045, 0.35394568165673224],
+                [0.047912209652385566, 0.05367711153290033, 0.04605956090396842],
             ),
         }
 
@@ -268,44 +259,19 @@ class TestRunScenario:
                     gpath, xpath, ypath, method="tsre", selection=selection, grm_path=path
                 )
 
-    def test_streamed_replicate_keeps_the_dense_numbers(self, monkeypatch):
-        # with the held-whole limit at zero the same replicate streams its
-        # standardized genotypes in two blocks (1280 + 640 columns at n=200):
-        # phenotypes, summaries and every non-tsre estimate keep their bits,
-        # and tsre, whose pair sums add up block by block, moves by rounding
-        cfg = _tiny_cfg(n=200, m_a=640, m_b=640, m_c=320, m_d=320, sigma_gb=0.05,
-                        mu_gc_x=0.0, sigma_gc_x=0.05, sigma_gc_y=0.05, sigma_gd=0.05)
-        jobs = [(tag, selection) for tag in METHOD_TAGS for selection in ("all", "top:20")]
-        dense, dense_out = _replicate_pieces(monkeypatch, cfg, jobs)
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
-        streamed, streamed_out = _replicate_pieces(monkeypatch, cfg, jobs)
-        assert dense["source"] is StandardizedGenotypes
-        assert streamed["source"] is genotype._StreamedGenotypes
-        assert streamed["blocks"] == [1280, 640]
-        assert streamed["x"].tobytes() == dense["x"].tobytes()
-        assert streamed["y"].tobytes() == dense["y"].tobytes()
-        assert_same_summaries(streamed["summaries"], dense["summaries"])
-        for (tag, selection), got, want in zip(jobs, streamed_out, dense_out):
-            if tag == "tsre":
-                np.testing.assert_allclose(got, want, rtol=1e-9, err_msg=selection)
-            else:
-                assert got == want, (tag, selection)
-        assert streamed_out[jobs.index(("tsls", "all"))] is None  # m > n
-        assert sum(out is None for out in streamed_out) == 1
-
-    def test_replicate_without_group_a_is_held(self, monkeypatch):
-        # its phenotypes copy out every column, so streaming would save nothing
-        monkeypatch.setattr(genotype, "_HELD_CELLS", 0)
-        seen, out = _replicate_pieces(monkeypatch, _tiny_cfg(), [("tsre", "all")])
-        assert seen["source"] is StandardizedGenotypes
-        assert None not in out
-
-    def test_streamed_replicate_never_holds_the_float_matrix(self):
-        # the 48000 group-a columns hold 9.6e6 cells, above the held-whole
-        # limit; the float64 matrix would be 80 MB, and the replicate holds
-        # int8 dosages, 2 MB blocks and, for its phenotypes, groups b and c
-        cfg = _tiny_cfg(n=200, m_a=48_000, m_b=1000, m_c=1000)
-        assert cfg.n * cfg.m_a > genotype._HELD_CELLS
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            # 48000 group-a columns, read only for the summaries
+            dict(m_a=48_000, m_b=1000, m_c=1000),
+            # no group a: every column is read for the phenotypes too
+            dict(m_b=25_000, m_c=25_000),
+        ],
+    )
+    def test_streamed_replicate_never_holds_the_float_matrix(self, groups):
+        # the float64 matrix would be 80 MB; the replicate holds int8 dosages
+        # and one 2 MB block per read
+        cfg = _tiny_cfg(n=200, **groups)
         tracemalloc.start()
         try:
             out = harness._replicate_outcomes((cfg, [("tsre", "all"), ("ivw", "top:20")], 0, 0, 0))
@@ -318,17 +284,39 @@ class TestRunScenario:
     def test_tsls_on_more_columns_than_rows_copies_nothing(self):
         # K > n is refused before the Fortran copy of every column (80 MB here)
         gm = simulate_genotypes(200, 50_000, 0.05, 0.5, np.random.default_rng(0))
-        std = genotype._standardized_source(gm)
-        assert isinstance(std, genotype._StreamedGenotypes)
+        source = genotype._read_dosages(gm)[0]
         x = y = np.zeros(gm.n)
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="n >= K"):
-                harness._run_method("tsls", "all", std, None, x, y, None)
+                harness._run_method("tsls", "all", source, None, None, x, y, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < gm.n * gm.m  # less than the int8 dosages themselves
+
+    @pytest.mark.parametrize("column", [0, 12, 22])  # in groups a, b and c
+    def test_monomorphic_column_fails_its_replicate(self, monkeypatch, column):
+        # the effect layout cannot drop a column, so replicate 1, whose
+        # dosages hold a constant column, is a counted failure of every job
+        simulate = harness.simulate_genotypes
+        calls = []
+
+        def one_constant_column(*args):
+            gm = simulate(*args)
+            if len(calls) == 1:
+                gm.dosages[:, column] = 1
+            calls.append(gm)
+            return gm
+
+        monkeypatch.setattr(harness, "simulate_genotypes", one_constant_column)
+        jobs = [(tag, "all") for tag in METHOD_TAGS]
+        results = run_scenario(_tiny_cfg(m_a=10), ReplicationSpec(reps=3, seed=4), jobs=jobs)
+        assert len(calls) == 3
+        for res in results:
+            assert res.reps_failed == 1, res.method
+            assert res.rep_index.tolist() == [0, 2]
+            assert np.isfinite(res.estimates).all() and np.isfinite(res.ses).all()
 
     def test_bad_jobs_rejected(self):
         cfg = _tiny_cfg()
@@ -385,11 +373,10 @@ class TestBuiltinTargets:
 
 class TestReproduceTable:
     def test_custom_target_outputs(self, tmp_path):
-        paths = reproduce_table(
-            "custom", tmp_path, reps=3, seed=5, config=_tiny_cfg()
-        )
+        with pytest.warns(UserWarning, match="requested top 20"):
+            paths = reproduce_table("custom", tmp_path, reps=3, seed=5, config=_tiny_cfg())
         results, scenarios = paths
-        lines = open(results).read().splitlines()
+        lines = Path(results).read_text().splitlines()
         # no omitted-method note on custom runs
         assert lines[0] == (
             "target,row_id,method,selection,mean,sd_mc,mean_se,bias,mse,reps,reps_failed"
@@ -398,7 +385,7 @@ class TestReproduceTable:
         cells = lines[1].split(",")
         assert cells[0] == "custom"
         assert float(cells[4]) == float(repr(float(cells[4])))  # repr round trip
-        scen_lines = open(scenarios).read().splitlines()
+        scen_lines = Path(scenarios).read_text().splitlines()
         assert scen_lines[0].startswith("row_id,n,m_a,")
         assert len(scen_lines) == 2
 
@@ -408,10 +395,10 @@ class TestReproduceTable:
         monkeypatch.setitem(TARGETS, "fig3", lambda: rows)
         paths = reproduce_table("fig3", tmp_path, reps=3, seed=1)
         results, scenarios, long_path = paths
-        lines = open(results).read().splitlines()
+        lines = Path(results).read_text().splitlines()
         assert lines[0] == "# omitted methods: divw, raps, lasso (not implemented)"
         assert lines[1].startswith("target,row_id,")
-        long_lines = open(long_path).read().splitlines()
+        long_lines = Path(long_path).read_text().splitlines()
         assert long_lines[0] == "target,row_id,method,selection,rep,estimate,se"
         # 2 jobs x 3 reps, all successful
         assert len(long_lines) == 1 + 6
@@ -422,12 +409,13 @@ class TestReproduceTable:
             assert np.isfinite([float(cells[5]), float(cells[6])]).all()
 
     def test_byte_identical_across_threads(self, tmp_path):
-        a = reproduce_table("custom", tmp_path / "a", reps=4, seed=9, config=_tiny_cfg())
-        b = reproduce_table(
-            "custom", tmp_path / "b", reps=4, seed=9, threads=3, config=_tiny_cfg()
-        )
-        assert open(a[0], "rb").read() == open(b[0], "rb").read()
-        assert open(a[1], "rb").read() == open(b[1], "rb").read()
+        with pytest.warns(UserWarning, match="requested top 20"):
+            a = reproduce_table("custom", tmp_path / "a", reps=4, seed=9, config=_tiny_cfg())
+            b = reproduce_table(
+                "custom", tmp_path / "b", reps=4, seed=9, threads=3, config=_tiny_cfg()
+            )
+        assert Path(a[0]).read_bytes() == Path(b[0]).read_bytes()
+        assert Path(a[1]).read_bytes() == Path(b[1]).read_bytes()
 
     def test_builtin_target_rejects_config(self, tmp_path):
         out = tmp_path / "rep"
@@ -507,6 +495,33 @@ class TestEstimateReal:
         assert res.se == pytest.approx(fit.se, rel=1e-12)
         assert res.n == 80
         assert res.m_used == std.m
+
+    @pytest.mark.parametrize("chunk", [None, 3 * 80])
+    def test_monomorphic_columns_are_dropped(self, real_data, tmp_path, monkeypatch, chunk):
+        # the file's dosages are read once in int8 blocks (3 columns wide,
+        # the last one column wide, with chunk set); its monomorphic columns
+        # are dropped as standardize drops them
+        if chunk is not None:
+            monkeypatch.setattr(genotype, "_CHUNK_CELLS", chunk)
+        gpath, xpath, ypath, gm, pheno = real_data
+        gm = load_genotypes(gpath)
+        gm.dosages[:, [0, 17]] = 2
+        mono = tmp_path / "mono.csv"
+        save_genotypes(gm, mono)
+        std = standardize(gm)
+        assert std.dropped_variants == [0, 17] and std.m == 24
+        want = tsre_estimate(std, pheno.x, pheno.y)
+        for selection, m_used in (("all", 24), ("top:24", 24)):
+            res = estimate_real(mono, xpath, ypath, method="tsre", selection=selection)
+            assert res.m_used == m_used
+            assert res.theta_hat == pytest.approx(want.theta_hat, rel=1e-12)
+            assert res.se == pytest.approx(want.se, rel=1e-12)
+        summaries = per_variant_regression(std, pheno.x, pheno.y)
+        want = ivw(summaries[select_top_k(summaries, 20)])
+        res = estimate_real(mono, xpath, ypath, method="ivw")
+        assert (res.m_used, res.n) == (20, 80)
+        assert res.theta_hat == pytest.approx(want.theta_hat, rel=1e-12)
+        assert res.se == pytest.approx(want.se, rel=1e-12)
 
     def test_all_methods_produce_finite_output(self, real_data):
         gpath, xpath, ypath, *_ = real_data

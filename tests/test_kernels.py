@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tsre import kernels
+from tsre import engine, genotype, kernels
 from tsre.engine import pair_moments
 from tsre.genotype import compute_grm, simulate_genotypes, standardize
+from tsre.sumstats import _dosage_summaries
 
 from conftest import dense_to_packed, packed_to_dense
 
@@ -35,33 +36,20 @@ CASES = [
 
 def _random_instance(n, seed, m):
     rng = np.random.default_rng(seed)
-    z = None
+    gm = std = None
     if m is None:
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
         tri = np.ascontiguousarray(dense_to_packed(a))
     else:
-        std = standardize(simulate_genotypes(n, m, 0.2, 0.3, rng))
+        gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
+        std = standardize(gm)
         grm = compute_grm(std)
         a = packed_to_dense(grm.lower_triangle, n)
         tri = grm.lower_triangle
-        z = std.values
     x = rng.normal(size=n)
     y = rng.normal(size=n)
-    return a, tri, x, y, z
-
-
-class _BlockSource:
-    """A standardized-genotype source that yields the given column blocks."""
-
-    def __init__(self, blocks):
-        self._blocks = blocks
-        self.n = blocks[0].shape[0]
-        self.m = sum(b.shape[1] for b in blocks)
-        self.variant_ids = [f"v{k}" for k in range(self.m)]
-
-    def blocks(self):
-        return iter(self._blocks)
+    return a, tri, x, y, gm, std
 
 
 def _pair_sums_oracle(a, x, y):
@@ -88,16 +76,16 @@ def _diag_sums_oracle(a, x, y, theta, a_bar, e_bar):
 
 
 @pytest.mark.parametrize("n,seed,m", CASES)
-def test_pair_sums_matches_double_loop(n, seed, m):
-    a, tri, x, y, z = _random_instance(n, seed, m)
+def test_pair_sums_matches_double_loop(n, seed, m, monkeypatch):
+    a, tri, x, y, gm, std = _random_instance(n, seed, m)
     want = _pair_sums_oracle(a, x, y)
     kernel_sums = [kernels.pair_sums(tri, n, x, y)]
-    if z is not None:
-        # the summaries route of the genotypes: Z whole, and the same Z as
-        # three column blocks, as a streamed source gives it
-        blocks = np.array_split(z, min(3, z.shape[1]), axis=1)
-        for source in (_BlockSource([z]), _BlockSource(blocks)):
-            pm = pair_moments(source, x, y)
+    if gm is not None:
+        # the summaries route of the genotypes: Z whole, and the int8
+        # dosages read in about three column blocks, as a replicate reads them
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", n * -(-m // 3))
+        summaries, _, d = _dosage_summaries(gm, x, y)
+        for pm in (pair_moments(std, x, y), engine._summary_moments(summaries, d, x, y)):
             kernel_sums.append((pm.s_axx, pm.s_axy, pm.s_a))
     for got in kernel_sums:
         assert all(type(v) is float for v in got)
@@ -106,7 +94,7 @@ def test_pair_sums_matches_double_loop(n, seed, m):
 
 @pytest.mark.parametrize("n,seed,m", CASES)
 def test_diag_sums_matches_double_loop(n, seed, m):
-    a, tri, x, y, _ = _random_instance(n, seed, m)
+    a, tri, x, y, *_ = _random_instance(n, seed, m)
     theta, a_bar, e_bar = 0.37, 0.05, -0.2
     got = kernels.diag_sums(tri, n, x, y, theta, a_bar, e_bar)
     want = _diag_sums_oracle(a, x, y, theta, a_bar, e_bar)

@@ -24,18 +24,32 @@ standardized columns and the row norms d_i = |z_i|^2/m.  Neither divides a
 cell by its sd; each scales its products instead.  _read_dosages returns a
 _DosageSource, the dosages of the polymorphic columns with their means and
 sds, which recomputes only the columns a later product needs.  A table4
-null_50000 replicate (n=1000, m=53000) holds 53 MB of dosages and one 2 MB
-block instead of a 424 MB matrix.  standardize, which holds the matrix
+null_50000 replicate (n=1000, m=53000) holds 53 MB of dosages and two 2 MB
+blocks instead of a 424 MB matrix.  standardize, which holds the matrix
 whole, serves `tsre grm`, `tsre simulate` and the GRM of --grm-cutoff.
+
+When the process may use a second CPU and is not a worker of a process
+pool (run_scenario at --threads >= 2), the sampler's row chunks and the
+reads' column blocks are shared out between the calling thread and a helper
+thread started and joined inside the call (_share_out); NumPy's generators,
+ufuncs and BLAS calls release the GIL.  Each thread takes the next chunk or
+block as it finishes the last, so a thread whose CPU is slow does less.  A
+sampler thread draws each chunk from its own copy of the PCG64 bit
+generator, advanced to the chunk's first uniform, and a read holds each
+block's term until it can add them all in block order.  So the bits depend
+neither on the sharing nor on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import struct
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +69,12 @@ _DOSAGES = frozenset("012")
 _CHUNK_CELLS = 1 << 18
 # The largest double Generator.random returns.
 _U_MAX = 1.0 - 2.0**-53
+# Bit generators whose advance(k) skips the k 64-bit outputs that k doubles
+# of Generator.random take (Philox's advance counts blocks of four).
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+# Block terms a shared column read may hold until it adds them in order:
+# 16 MB of float64.
+_SHARED_HELD_CELLS = 1 << 21
 
 
 def _repeated(ids: list[str]) -> str | None:
@@ -175,9 +195,14 @@ def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> 
         raise DataError("allele frequency range must satisfy 0 < low <= high < 1")
     maf = rng.uniform(maf_low, maf_high, size=m)
     dosages = _binomial2(maf, n, rng)
+    return GenotypeMatrix(dosages=dosages, variant_ids=list(_variant_ids(m)))
+
+
+@lru_cache(maxsize=4)
+def _variant_ids(m: int) -> tuple[str, ...]:
+    """v00001, v00002, ...: the ids of m simulated variants, built once per m."""
     width = max(5, len(str(m)))
-    ids = [f"v{k:0{width}d}" for k in range(1, m + 1)]
-    return GenotypeMatrix(dosages=dosages, variant_ids=ids)
+    return tuple(f"v{k:0{width}d}" for k in range(1, m + 1))
 
 
 def _binomial2_cuts(maf: np.ndarray):
@@ -212,35 +237,125 @@ def _redraw_possible(u: np.ndarray, qn, px1, px2) -> bool:
 def _binomial2(maf: np.ndarray, n: int, rng) -> np.ndarray:
     """rng.binomial(2, maf, size=(n, maf.size)) as int8, drawn in row chunks.
 
-    Each chunk draws its uniforms with rng.random and counts the cut points
-    they pass.  A chunk in which NumPy would redraw a cell (about 1e-16 per
-    cell, and only in columns where the largest uniform passes all three cut
-    points) is drawn again by rng.binomial itself from the saved state.
+    With a PCG64 generator and a spare CPU the chunks are shared out between
+    the calling thread and a helper (_share_out): each thread draws a chunk
+    from its own copy of the bit generator, advanced to the chunk's first
+    uniform, and the caller's generator is then advanced past them all.  A
+    chunk in which NumPy would redraw a cell (about 1e-16 per cell, and only
+    in columns where the largest uniform passes all three cut points) ends
+    the sharing: the whole draw is made again in one thread from the saved
+    state, where such a chunk is drawn by rng.binomial itself.
     """
     m = maf.size
     flip, qn, px1, px2 = _binomial2_cuts(maf)
     risky = ((_U_MAX - qn) - px1) > px2
-    risky_cuts = qn[risky], px1[risky], px2[risky]
+    cuts = flip, qn, px1, px2, (qn[risky], px1[risky], px2[risky])
     out = np.empty((n, m), dtype=np.int8)
     rows = max(1, _CHUNK_CELLS // m)
-    u_buf = np.empty((rows, m))
-    hit_buf = np.empty((rows, m), dtype=bool)
-    for start in range(0, n, rows):
-        dose = out[start : start + rows]
-        u, hit = u_buf[: len(dose)], hit_buf[: len(dose)]
-        state = rng.bit_generator.state
-        rng.random(out=u)
-        if _redraw_possible(u, *risky_cuts):
+    chunks = -(-n // rows)
+    bits = rng.bit_generator
+    state = bits.state
+    if chunks > 1 and type(bits) in _ADVANCEABLE and _spare_cpu():
+        redraw = []
+
+        def start():
+            copy = type(bits)()
+            copy.state = state
+            own = np.random.Generator(copy)
+            u_buf, hit_buf = np.empty((rows, m)), np.empty((rows, m), dtype=bool)
+            at = 0  # uniforms this copy has passed
+
+            def draw(k):
+                nonlocal at
+                dose = out[k * rows : (k + 1) * rows]
+                copy.advance(k * rows * m - at)
+                at = (k * rows + len(dose)) * m
+                if redraw or not _fill(dose, u_buf, hit_buf, cuts, own):
+                    redraw.append(k)
+
+            return draw
+
+        _share_out(start, chunks, True)
+        if not redraw:
+            bits.advance(n * m)
+            # advance dropped the caller's buffered 32-bit half; random() never uses it
+            final = bits.state
+            final["has_uint32"], final["uinteger"] = state["has_uint32"], state["uinteger"]
+            bits.state = final
+            return out
+        bits.state = state
+    u_buf, hit_buf = np.empty((min(rows, n), m)), np.empty((min(rows, n), m), dtype=bool)
+    for k in range(chunks):
+        dose = out[k * rows : (k + 1) * rows]
+        if not _fill(dose, u_buf, hit_buf, cuts, rng):
             rng.bit_generator.state = state
             dose[...] = rng.binomial(2, maf, size=dose.shape)
-            continue
-        u -= qn  # positive exactly when U > qn
-        np.greater(u, 0.0, out=dose)
-        np.greater(u, px1, out=hit)
-        dose ^= flip  # 2 - X in the flipped columns
-        hit ^= flip
-        dose += hit
+        state = rng.bit_generator.state
     return out
+
+
+def _fill(dose: np.ndarray, u_buf, hit_buf, cuts, rng) -> bool:
+    """Fill the chunk dose from len(dose) rows of rng's uniforms and the
+    _binomial2 cut points cuts, through the buffers u_buf and hit_buf; False,
+    with dose unfilled, when NumPy would redraw a cell of the chunk."""
+    flip, qn, px1, px2, risky_cuts = cuts
+    u, hit = u_buf[: len(dose)], hit_buf[: len(dose)]
+    rng.random(out=u)
+    if _redraw_possible(u, *risky_cuts):
+        return False
+    u -= qn  # positive exactly when U > qn
+    np.greater(u, 0.0, out=dose)
+    np.greater(u, px1, out=hit)
+    dose ^= flip  # 2 - X in the flipped columns
+    hit ^= flip
+    dose += hit
+    return True
+
+
+def _spare_cpu() -> bool:
+    """Whether a helper thread may find a CPU of its own: the process may run
+    on more than one CPU, and it is not a worker of a multiprocessing pool,
+    such as run_scenario's at --threads >= 2, whose workers already take the
+    CPUs it was given."""
+    if multiprocessing.parent_process() is not None:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _share_out(start, count: int, shared: bool) -> None:
+    """work(k) for k in range(count), work = start() being one thread's own.
+
+    When shared, the calling thread and a helper thread, started and joined
+    here, each take the next k as they finish the last, so a thread whose CPU
+    is slow or taken by another process does less of the work; else the
+    calling thread does it all.  The first exception stops both threads and
+    is raised here, so no thread outlives the call.
+    """
+    if not shared:
+        work = start()
+        for k in range(count):
+            work(k)
+        return
+    ks = iter(range(count))  # each next() is atomic under the GIL
+    failed = []
+
+    def run():
+        try:
+            work = start()
+            for k in ks:
+                if failed:
+                    return
+                work(k)
+        except BaseException:
+            failed.append(True)
+            raise
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(run)
+        run()
+        second.result()
 
 
 def standardize(gm: GenotypeMatrix) -> StandardizedGenotypes:
@@ -270,21 +385,48 @@ def _polymorphic(gm: GenotypeMatrix, sd: np.ndarray):
     return keep, kept_ids, np.flatnonzero(~keep).tolist()
 
 
-def _centred_blocks(dosages: np.ndarray):
-    """Yield (c0, c1, c, mean, ss) for column blocks [c0, c1) of about
-    _CHUNK_CELLS cells: c is the block cast into one reused float64 buffer
-    and centred on its column means, ss its column sums of squares.  c is
-    overwritten by the next block."""
+def _block_sum(dosages: np.ndarray, shape: tuple, term) -> np.ndarray:
+    """The sum, in block order, of term(c0, c1, c, mean, ss) over column
+    blocks [c0, c1) of dosages of about _CHUNK_CELLS cells: c is the block
+    cast into a reused float64 buffer and centred on its column means, ss its
+    column sums of squares, and each term an array of the given shape.
+
+    With a spare CPU the blocks are shared out between the calling thread
+    and a helper (_share_out), each with its own buffer, so anything else
+    term writes must go to its own block's columns.  Each block's term is
+    then held in its own row and the rows are added in block order, so the
+    sum keeps the bits of one thread; a read that would hold more than
+    _SHARED_HELD_CELLS cells runs in one thread.
+    """
     n, m = dosages.shape
     width = max(1, _CHUNK_CELLS // n)
-    buf = np.empty(n * min(width, m))
-    for c0 in range(0, m, width):
-        c1 = min(c0 + width, m)
-        c = buf[: n * (c1 - c0)].reshape(n, c1 - c0)
-        np.copyto(c, dosages[:, c0:c1])
-        mean = c.mean(axis=0)
-        c -= mean
-        yield c0, c1, c, mean, np.einsum("ij,ij->j", c, c)
+    blocks = -(-m // width)
+    shared = 1 < blocks and blocks * math.prod(shape) <= _SHARED_HELD_CELLS and _spare_cpu()
+    total = np.zeros(shape)
+    held = np.empty((blocks, *shape)) if shared else None
+
+    def start():
+        buf = np.empty(n * min(width, m))
+
+        def read(k):
+            c0, c1 = k * width, min(k * width + width, m)
+            c = buf[: n * (c1 - c0)].reshape(n, c1 - c0)
+            np.copyto(c, dosages[:, c0:c1])
+            mean = c.mean(axis=0)
+            c -= mean
+            t = term(c0, c1, c, mean, np.einsum("ij,ij->j", c, c))
+            if shared:
+                held[k] = t
+            else:
+                np.add(total, t, out=total)
+
+        return read
+
+    _share_out(start, blocks, shared)
+    if shared:
+        for t in held:
+            total += t
+    return total
 
 
 def _standardized_product(dosages: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -292,12 +434,13 @@ def _standardized_product(dosages: np.ndarray, w: np.ndarray) -> np.ndarray:
     blocks; a monomorphic column, which has no standardized form, is a
     DataError."""
     n = dosages.shape[0]
-    out = np.zeros((n, w.shape[1]))
-    for c0, c1, c, _, ss in _centred_blocks(dosages):
+
+    def term(c0, c1, c, _, ss):
         if not ss.all():
             raise DataError("cannot standardize a monomorphic column")
-        out += c @ (w[c0:c1] / np.sqrt(ss / n)[:, None])
-    return out
+        return c @ (w[c0:c1] / np.sqrt(ss / n)[:, None])
+
+    return _block_sum(dosages, (n, w.shape[1]), term)
 
 
 def _read_dosages(gm: GenotypeMatrix, traits: np.ndarray | None = None):
@@ -311,12 +454,14 @@ def _read_dosages(gm: GenotypeMatrix, traits: np.ndarray | None = None):
     n, m = gm.n, gm.m
     traits = np.empty((0, n)) if traits is None else traits
     mean, ss, raw = np.empty(m), np.empty(m), np.empty((len(traits), m))
-    d = np.zeros(n)
-    for c0, c1, c, mu, s in _centred_blocks(gm.dosages):
+
+    def term(c0, c1, c, mu, s):
         mean[c0:c1], ss[c0:c1] = mu, s
         raw[:, c0:c1] = traits @ c
         c *= c
-        d += c @ np.divide(n, s, out=np.zeros_like(s), where=s > 0.0)  # 1/sd^2
+        return c @ np.divide(n, s, out=np.zeros_like(s), where=s > 0.0)  # 1/sd^2
+
+    d = _block_sum(gm.dosages, (n,), term)
     sd = np.sqrt(ss / n)
     keep, kept_ids, dropped = _polymorphic(gm, sd)
     dosages = np.compress(keep, gm.dosages, axis=1) if dropped else gm.dosages

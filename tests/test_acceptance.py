@@ -10,6 +10,7 @@ automatically when a test fails); the asserted windows were sized against
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ def test_replicate_outputs_identical_across_thread_counts(tmp_path):
         paths = reproduce_table(
             "custom", out, reps=6, seed=9, threads=threads, config=cfg
         )
-        blobs.append(tuple(open(p, "rb").read() for p in sorted(paths)))
+        blobs.append(tuple(Path(p).read_bytes() for p in sorted(paths)))
     ok = blobs[0] == blobs[1] == blobs[2]
     _report(ok, "replicate output is byte-identical for 1/2/3 threads",
             f"{len(blobs[0])} files compared")

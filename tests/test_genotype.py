@@ -1,7 +1,12 @@
 """Genotype simulation, standardization, GRM construction, and persistence."""
 
 import math
+import multiprocessing
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +53,13 @@ class TestSimulateGenotypes:
         assert gm.variant_ids[-1] == "v00012"
         wide = simulate_genotypes(2, 7, 0.2, 0.3, rng)
         assert all(len(v) == 6 for v in wide.variant_ids)
+
+    def test_variant_ids_are_a_fresh_list_each_time(self, rng):
+        # built once per m, but a caller may change its own list
+        a = simulate_genotypes(3, 12, 0.2, 0.3, rng)
+        a.variant_ids[0] = "changed"
+        b = simulate_genotypes(3, 12, 0.2, 0.3, rng)
+        assert b.variant_ids == [f"v{k:05d}" for k in range(1, 13)]
 
     def test_deterministic_given_seed(self):
         a = simulate_genotypes(20, 10, 0.2, 0.3, np.random.default_rng(5))
@@ -145,9 +157,35 @@ class TestSimulateGenotypesIsNumpyBinomial:
             return True
 
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(genotype, "_spare_cpu", lambda: True)
         monkeypatch.setattr(genotype, "_redraw_possible", always)
         self._assert_matches(25, 10, 0.1, 0.9, 5)
-        assert len(calls) == 5  # ceil(25 / 6) chunks
+        # the shared draw stops at the first chunk of each thread that drew
+        # one, then ceil(25 / 6) chunks are drawn again in one thread
+        assert len(calls) in (1 + 5, 2 + 5)
+
+    def test_redraw_in_a_later_chunk_is_rng_binomial(self, monkeypatch):
+        # fire only on the chunk holding row 18, the fourth of five: the
+        # shared draw stops there, whichever thread drew it, and the draw
+        # made again in the calling thread gives that chunk to rng.binomial
+        n, m, seed = 25, 10, 5
+        ref = np.random.default_rng(seed)
+        ref.uniform(0.1, 0.9, size=m)
+        marker = ref.random((n, m))[18, 0]
+        real = genotype._redraw_possible
+        fired = []
+
+        def at_marker(u, *cuts):
+            if np.any(u == marker):
+                fired.append(threading.current_thread() is threading.main_thread())
+                return True
+            return real(u, *cuts)
+
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(genotype, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(genotype, "_redraw_possible", at_marker)
+        self._assert_matches(n, m, 0.1, 0.9, seed)
+        assert len(fired) == 2 and fired[1]
 
     def test_redraw_check_agrees_with_numpy_loop(self):
         # the largest uniform redraws in some columns; a chunk holding it is
@@ -173,6 +211,135 @@ class TestSimulateGenotypesIsNumpyBinomial:
         got = genotype._binomial2(maf, u.shape[0], _GivenUniforms(u))
         want = [[_numpy_inversion(p, v) for p, v in zip(maf.tolist(), row)] for row in u.tolist()]
         assert np.array_equal(got, np.array(want, dtype=np.int8))
+
+
+@pytest.fixture
+def shared_seen(monkeypatch):
+    """Whether each genotype._share_out call shared its work out."""
+    seen = []
+    real = genotype._share_out
+
+    def spy(start, count, shared):
+        seen.append(shared)
+        return real(start, count, shared)
+
+    monkeypatch.setattr(genotype, "_share_out", spy)
+    return seen
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that a lost update between the
+    two threads would show."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+def _spare_cpu(monkeypatch, flag=True):
+    monkeypatch.setattr(genotype, "_spare_cpu", lambda: flag)
+
+
+class TestSharedSampler:
+    """The sampler's chunks shared out between the calling thread and a
+    helper, each drawn from an advanced copy of the bit generator, against
+    rng.binomial."""
+
+    @staticmethod
+    def _draws(bits, seed, m, sample):
+        """(dosages, later int32 draws, later double) from a generator that
+        holds a buffered 32-bit half when sample(rng, maf) draws the dosages."""
+        rng = np.random.Generator(bits(seed))
+        rng.integers(0, 7, dtype=np.int32)
+        maf = rng.uniform(0.1, 0.9, size=m)
+        dosages = sample(rng, maf)
+        return dosages, rng.integers(0, 2**31 - 1, size=3, dtype=np.int32), rng.random()
+
+    def _assert_matches(self, bits, seed, n, m):
+        got = self._draws(bits, seed, m, lambda rng, maf: genotype._binomial2(maf, n, rng))
+        want = self._draws(bits, seed, m, lambda rng, maf: rng.binomial(2, maf, size=(n, m)))
+        assert np.array_equal(got[0], want[0].astype(np.int8))
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize(
+        "n,m,chunk,chunks",
+        [
+            (25, 10, 64, 5),  # 5 chunks of 6 rows, the last short
+            (24, 10, 64, 4),  # 4 whole chunks
+            (3, 300_001, None, 3),  # 3 chunks of one row
+            (997, 301, None, 2),  # 2 chunks, the second short
+            (1000, 53, 53 * 28, 36),  # 36 chunks of 28 rows
+        ],
+    )
+    def test_shared_chunks_match_rng_binomial(
+        self, monkeypatch, shared_seen, fast_switching, n, m, chunk, chunks
+    ):
+        _spare_cpu(monkeypatch)
+        if chunk is not None:
+            monkeypatch.setattr(genotype, "_CHUNK_CELLS", chunk)
+        assert -(-n // max(1, genotype._CHUNK_CELLS // m)) == chunks
+        self._assert_matches(np.random.PCG64, 11, n, m)
+        assert shared_seen == [True]
+
+    def test_a_slow_helper_draws_fewer_chunks(self, monkeypatch, shared_seen):
+        # a helper whose CPU is taken leaves the chunks it has not started to
+        # the calling thread, and the bits do not depend on who drew what
+        _spare_cpu(monkeypatch)
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 53 * 28)
+        real, on_main = genotype._fill, []
+
+        def slow_helper(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if not on_main[-1]:
+                time.sleep(0.005)
+            return real(*args)
+
+        monkeypatch.setattr(genotype, "_fill", slow_helper)
+        self._assert_matches(np.random.PCG64, 14, 1000, 53)
+        assert shared_seen == [True] and len(on_main) == 36
+        assert on_main.count(True) > on_main.count(False)
+
+    @pytest.mark.parametrize(
+        "bits,shared",
+        [
+            (np.random.PCG64DXSM, [True]),
+            (np.random.MT19937, []),  # no advance
+            (np.random.SFC64, []),  # no advance
+            (np.random.Philox, []),  # advance counts blocks of four outputs
+        ],
+    )
+    def test_only_pcg64_generators_share(self, monkeypatch, shared_seen, bits, shared):
+        _spare_cpu(monkeypatch)
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
+        self._assert_matches(bits, 12, 25, 10)
+        assert shared_seen == shared
+
+    def test_one_cpu_takes_one_thread(self, monkeypatch, shared_seen):
+        monkeypatch.setattr(genotype.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
+        assert not genotype._spare_cpu()
+        self._assert_matches(np.random.PCG64, 13, 25, 10)
+        assert shared_seen == []
+
+    def test_a_pool_worker_takes_one_thread(self, monkeypatch):
+        """run_scenario's workers at --threads >= 2 already share the CPUs."""
+        monkeypatch.setattr(genotype.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert genotype._spare_cpu()
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            assert pool.submit(genotype._spare_cpu).result() is False
+
+    def test_no_thread_outlives_the_draw(self, monkeypatch, shared_seen):
+        _spare_cpu(monkeypatch)
+        before = threading.active_count()
+        gm = simulate_genotypes(600, 1000, 0.05, 0.5, np.random.default_rng(1))
+        _dosage_summaries(gm, np.arange(600.0), np.arange(600.0) % 7)
+        assert shared_seen == [True, True]
+        assert threading.active_count() == before
 
 
 class _GivenUniforms:
@@ -304,6 +471,85 @@ class TestDosageReads:
         effects = sample_effects(cfg, np.random.default_rng(0))
         with pytest.raises(DataError, match="monomorphic"):
             generate_phenotypes(gm, effects, cfg, np.random.default_rng(0))
+
+
+class TestSharedRead:
+    """A column read shared out between the calling thread and a helper,
+    against the same read in one thread."""
+
+    @staticmethod
+    def _read(monkeypatch, gm, traits, shared):
+        _spare_cpu(monkeypatch, shared)
+        source, gram, products, d = genotype._read_dosages(gm, traits)
+        return (source.dosages, source.mean, source.sd, gram, products, d,
+                source.variant_ids, source.dropped_variants)
+
+    # blocks of 5 columns: 61 blocks, the last of one column
+    @pytest.mark.parametrize("monomorphic", [(), (3,), (200,), (3, 154, 155, 300)])
+    def test_shared_read_is_the_one_thread_read(
+        self, monkeypatch, shared_seen, fast_switching, monomorphic
+    ):
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
+        gm = TestDosageReads._matrix(60, 301, monomorphic)
+        traits = np.random.default_rng(3).normal(size=(2, 60))
+        shared_seen.clear()
+        one = self._read(monkeypatch, gm, traits, False)
+        two = self._read(monkeypatch, gm, traits, True)
+        assert shared_seen == [False, True]
+        for got, want in zip(two, one):
+            assert np.array_equal(got, want)
+        assert two[-1] == sorted(monomorphic)
+
+    def test_a_read_too_large_to_hold_runs_in_one_thread(self, monkeypatch, shared_seen):
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
+        monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60 - 1)  # 61 blocks held
+        gm = TestDosageReads._matrix(60, 301)
+        shared_seen.clear()
+        self._read(monkeypatch, gm, None, True)
+        monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60)
+        self._read(monkeypatch, gm, None, True)
+        assert shared_seen == [False, True]
+
+    @pytest.mark.parametrize("column", [2, 40])  # first block, last block
+    def test_an_error_in_either_thread_reaches_the_caller(self, monkeypatch, shared_seen, column):
+        _spare_cpu(monkeypatch)
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
+        gm = TestDosageReads._matrix(60, 44, (column,))
+        shared_seen.clear()
+        before = threading.active_count()
+        with pytest.raises(DataError, match="cannot standardize a monomorphic column"):
+            genotype._standardized_product(gm.dosages, np.ones((44, 2)))
+        assert shared_seen == [True]
+        assert threading.active_count() == before
+
+    def test_a_helper_error_stops_the_caller_and_reaches_it(self):
+        done = []
+
+        def start():
+            on_helper = threading.current_thread() is not threading.main_thread()
+
+            def work(k):
+                if on_helper:
+                    raise DataError("from the helper")
+                time.sleep(0.001)
+                done.append(k)
+
+            return work
+
+        before = threading.active_count()
+        with pytest.raises(DataError, match="from the helper"):
+            genotype._share_out(start, 1000, True)
+        assert len(done) < 999
+        assert threading.active_count() == before
+
+    def test_shared_product_is_the_one_thread_product(self, monkeypatch):
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
+        gm = TestDosageReads._matrix(60, 44)
+        w = np.random.default_rng(4).normal(size=(44, 2))
+        _spare_cpu(monkeypatch, False)
+        one = genotype._standardized_product(gm.dosages, w)
+        _spare_cpu(monkeypatch, True)
+        assert np.array_equal(genotype._standardized_product(gm.dosages, w), one)
 
 
 class TestComputeGrm:

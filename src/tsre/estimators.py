@@ -6,6 +6,13 @@ estimators come from a parametric bootstrap; the inverse-variance weighted
 (IVW) estimator offers fixed- and random-effect standard errors, where the
 random-effect version inflates the fixed se by the square root of the
 Cochran overdispersion factor.
+
+The bootstrap draws its N_BOOT x K exposure normals whole and its outcome
+normals in row blocks of about _BOOT_BLOCK_CELLS cells (2 MB) into one reused
+buffer, taking each block's ratios and point estimates before the next: at
+K=1000 a weighted-median bootstrap holds 8 MB and a few 2 MB blocks instead
+of 54 MB.  The blocks take the same normals in the same order as one draw,
+and both point functions work row by row, so every se keeps its bits.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ __all__ = ["Estimate", "tsls", "ivw", "egger", "simple_median", "weighted_median
 
 # Parametric bootstrap draws behind the median estimators' standard errors.
 N_BOOT = 1000
+# Cells of one row block of the bootstrap's outcome normals (2 MB of float64).
+_BOOT_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -209,17 +218,30 @@ def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.where(0.5 >= p[:, -1], r[:, -1], out)
 
 
+def _bootstrap_cells(k: int) -> int:
+    """Cells of each of the two normal draws a median bootstrap takes on K
+    variants."""
+    return N_BOOT * k
+
+
 def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
-    # in place, with the bits of gx + se_x * zx, gy + se_y * zy and by / bx
+    """sd of point_fn over N_BOOT parametric bootstrap draws, with by drawn
+    in row blocks (module docstring) and the bits, in place, of
+    gx + se_x * zx, gy + se_y * zy and by / bx."""
     rng = np.random.default_rng(0) if rng is None else rng
     bx = rng.standard_normal((N_BOOT, gx.size))
-    by = rng.standard_normal((N_BOOT, gx.size))
     bx *= se_x
     bx += gx
-    by *= se_y
-    by += gy
-    _ratios(by, bx, out=by)
-    est = point_fn(by)
+    rows = min(N_BOOT, max(1, _BOOT_BLOCK_CELLS // gx.size))
+    buf = np.empty((rows, gx.size))
+    est = np.empty(N_BOOT)
+    for r0 in range(0, N_BOOT, rows):
+        by = buf[: min(rows, N_BOOT - r0)]
+        rng.standard_normal(out=by)
+        by *= se_y
+        by += gy
+        _ratios(by, bx[r0 : r0 + len(by)], out=by)
+        est[r0 : r0 + len(by)] = point_fn(by)
     return float(np.std(est, ddof=1))
 
 

@@ -37,7 +37,9 @@ block as it finishes the last, so a thread whose CPU is slow does less.  A
 sampler thread draws each chunk from its own copy of the PCG64 bit
 generator, advanced to the chunk's first uniform, and a read holds each
 block's term until it can add them all in block order.  So the bits depend
-neither on the sharing nor on the CPU count.
+neither on the sharing nor on the CPU count.  The harness shares a
+replicate's heavy median bootstraps out through _share_out in the same way,
+one whole job at a time (harness._replicate_outcomes).
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .estimators import (
     Estimate,
+    _bootstrap_cells,
     _check_instruments,
     egger,
     ivw,
@@ -41,6 +42,8 @@ from .genotype import (
     Grm,
     _read_dosages,
     _row_norms,
+    _share_out,
+    _spare_cpu,
     check_cutoff,
     compute_grm,
     filter_related,
@@ -212,6 +215,25 @@ def _run_method(tag, selection, source, summaries, d, x, y, rng_for) -> Estimate
     return _SUMMARY_METHODS[tag](selected, rng_for)
 
 
+# Least bootstrap size, in cells, of a median job that _replicate_outcomes
+# shares out.  Measured on a 2-vCPU Xeon (BENCH_23.json, share_crossover):
+# on table2 rows (m=200, seven methods) sharing two median jobs lost below
+# 200000 cells and drew even at 200000; on an s3 row (m=1000) it won from
+# 50000 cells up.  Sharing table2's jobs (top:20, 20000 cells) cut the
+# comparators workload from 170 to 148 replicates/s.
+_SHARE_MIN_CELLS = 200_000
+
+
+def _job_bootstrap_cells(tag: str, selection: str, m: int) -> int:
+    """Cells of the bootstrap a median method draws on a selection of m
+    variants (0 for the other methods), read from the spec without
+    selecting: 'all' and 'pval:A' count as m, 'top:K' as min(K, m)."""
+    if tag not in ("sm", "wm"):
+        return 0
+    kind, value = parse_selection(selection)
+    return _bootstrap_cells(min(value, m) if kind == "top" else m)
+
+
 def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
@@ -221,29 +243,48 @@ def _replicate_outcomes(args):
     for the summaries and row norms (genotype module docstring), so it never
     holds its n x m float64 standardized matrix.  A monomorphic column,
     which the effect layout cannot drop, fails every job.
+
+    With a spare CPU and at least two median jobs whose bootstrap draws
+    _SHARE_MIN_CELLS cells or more, those jobs are shared out between the
+    calling thread and a helper (genotype._share_out), each taking the next
+    in job order; the calling thread then runs every other job, so 2SLS's
+    threaded BLAS never runs beside a bootstrap.  Each job has its own
+    bootstrap stream and writes its own slot, so the outcomes keep their
+    bits.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
+    out = [None] * len(jobs)
     try:
         pheno = generate_phenotypes(gm, sample_effects(cfg, rng), cfg, rng)
         summaries, source, d = _dosage_summaries(gm, pheno.x, pheno.y)
         if source.dropped_variants:
             raise DataError("a replicate's variant groups hold a monomorphic column")
     except TsreError:
-        return [None] * len(jobs)
+        return out
 
     def rng_for(tag):
         key = (row_key, rep, 1000 + _METHOD_SLOTS[tag])
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-    out = []
-    for tag, selection in jobs:
+    def run(j):
+        tag, selection = jobs[j]
         try:
             est = _run_method(tag, selection, source, summaries, d, pheno.x, pheno.y, rng_for)
-            out.append((est.theta_hat, est.se))
+            out[j] = (est.theta_hat, est.se)
         except TsreError:
-            out.append(None)
+            pass
+
+    m = len(summaries)
+    heavy = [j for j, job in enumerate(jobs) if _job_bootstrap_cells(*job, m) >= _SHARE_MIN_CELLS]
+    if len(heavy) >= 2 and _spare_cpu():
+        _share_out(lambda: lambda k: run(heavy[k]), len(heavy), True)
+    else:
+        heavy = []
+    for j in range(len(jobs)):
+        if j not in heavy:
+            run(j)
     return out
 
 

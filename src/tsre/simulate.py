@@ -205,7 +205,7 @@ _PARSERS = {
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for f in fields(ScenarioConfig):
             fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,15 @@ def random_grm(rng, n, m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that a lost update between the
+    two threads would show."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)

@@ -1,12 +1,16 @@
 """Summary-statistic and two-stage estimators against explicit oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsre import estimators
 from tsre.errors import DataError, EstimationError, TsreError
 from tsre.estimators import (
+    N_BOOT,
     _weighted_median,
     egger,
     ivw,
@@ -319,6 +323,62 @@ class TestMedianEstimators:
         wm = weighted_median(_summ([0.5], [0.2]))
         assert abs(sm.theta_hat - 0.4) < 1e-12
         assert abs(wm.theta_hat - 0.4) < 1e-12
+
+
+def _whole_draw_se(point_fn, summaries, rng) -> float:
+    """The median bootstrap se from one (N_BOOT, K) draw of each set of normals."""
+    gx, se_x, gy, se_y = (summaries[f] for f in ("gamma_x", "se_x", "gamma_y", "se_y"))
+    zx = rng.standard_normal((N_BOOT, gx.size))
+    zy = rng.standard_normal((N_BOOT, gx.size))
+    return float(np.std(point_fn((gy + se_y * zy) / (gx + se_x * zx)), ddof=1))
+
+
+def _random_summaries(k, seed):
+    r = np.random.default_rng(seed)
+    return _summ_w(r.normal(0.1, 0.05, k), r.normal(0.03, 0.05, k), r.uniform(0.02, 0.05, k))
+
+
+class TestBlockedBootstrap:
+    """by drawn in row blocks into one reused buffer, against one whole draw."""
+
+    @pytest.mark.parametrize(
+        "k,chunk,blocks",
+        [
+            (1, None, 1),
+            (20, None, 1),
+            (1000, None, 4),  # 3 blocks of 262 rows and one of 214
+            (20, 16, N_BOOT),  # K > _BOOT_BLOCK_CELLS: one-row blocks
+        ],
+    )
+    @pytest.mark.parametrize("method", ["simple_median", "weighted_median"])
+    def test_blocks_keep_the_bits_of_one_draw(self, monkeypatch, method, k, chunk, blocks):
+        if chunk is not None:
+            monkeypatch.setattr(estimators, "_BOOT_BLOCK_CELLS", chunk)
+        assert -(-N_BOOT // max(1, estimators._BOOT_BLOCK_CELLS // k)) == blocks
+        s = _random_summaries(k, k)
+        if method == "simple_median":
+            point_fn = lambda r: np.median(r, axis=1)
+        else:
+            point_fn = lambda r: _weighted_median(r, s.gamma_x**2 / s.se_y**2)
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = getattr(estimators, method)(s, rng=got_rng)
+        assert got.se == _whole_draw_se(point_fn, s, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_weighted_median_holds_one_draw_of_bx_and_a_few_blocks(self):
+        # bx holds N_BOOT * K doubles (7.6 MiB at K=1000); by's buffer and
+        # each temporary of _weighted_median on a block hold at most
+        # _BOOT_BLOCK_CELLS doubles or indices (2 MiB), and fewer than eight of
+        # them live at once.  One whole draw held 53 MiB.
+        k = 1000
+        s = _random_summaries(k, 3)
+        tracemalloc.start()
+        try:
+            weighted_median(s, rng=np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (N_BOOT * k + 8 * estimators._BOOT_BLOCK_CELLS)
 
 
 # Bounds of the drawn summaries: effects in [-1e6, 1e6] and standard errors in

@@ -3,7 +3,6 @@
 import math
 import multiprocessing
 import struct
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -225,18 +224,6 @@ def shared_seen(monkeypatch):
 
     monkeypatch.setattr(genotype, "_share_out", spy)
     return seen
-
-
-@pytest.fixture
-def fast_switching():
-    """Switch threads every microsecond, so that a lost update between the
-    two threads would show."""
-    before = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(before)
 
 
 def _spare_cpu(monkeypatch, flag=True):

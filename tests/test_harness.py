@@ -1,5 +1,6 @@
 """Replication harness: seeding, aggregation, targets, and the file pipeline."""
 
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -35,7 +36,7 @@ from tsre.harness import (
     save_phenotype,
 )
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
-from tsre.estimators import ivw
+from tsre.estimators import N_BOOT, ivw
 from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression, select_top_k
 
 from conftest import packed_to_dense
@@ -327,6 +328,135 @@ class TestRunScenario:
             run_scenario(cfg, spec, jobs=[("tsre", "frac:1")])
         with pytest.raises(ConfigError):
             run_scenario(cfg, spec, jobs=DEFAULT_JOBS, threads=0)
+
+
+# 300 variants: a median bootstrap on 'all' draws N_BOOT * 300 >= _SHARE_MIN_CELLS
+# cells, one on 'top:20' 20000.
+_HEAVY_CFG = dict(n=200, m_b=200, m_c=100)
+_HEAVY_JOBS = [
+    ("ivw", "all"),
+    ("sm", "all"),
+    ("tsls", "top:20"),
+    ("wm", "all"),
+    ("sm", "top:20"),
+    ("wm", "top:20"),
+    ("tsre", "all"),
+]
+_SHARED = [1, 3]  # the heavy jobs' indices
+
+
+@pytest.fixture
+def harness_shares(monkeypatch):
+    """The job counts of the harness's _share_out calls."""
+    seen = []
+    real = harness._share_out
+
+    def spy(start, count, shared):
+        seen.append(count)
+        return real(start, count, shared)
+
+    monkeypatch.setattr(harness, "_share_out", spy)
+    return seen
+
+
+def _spare_cpu(monkeypatch, flag=True):
+    """Patch the harness's gate and the sampler's and reads' gate."""
+    monkeypatch.setattr(genotype, "_spare_cpu", lambda: flag)
+    monkeypatch.setattr(harness, "_spare_cpu", lambda: flag)
+
+
+def _heavy_replicate(rep=0):
+    return harness._replicate_outcomes((_tiny_cfg(**_HEAVY_CFG), _HEAVY_JOBS, 2, 0, rep))
+
+
+class TestSharedBootstraps:
+    """The heavy median bootstraps of a replicate shared out between the
+    calling thread and a helper."""
+
+    @pytest.mark.parametrize(
+        "tag,selection,cells",
+        [
+            ("sm", "all", N_BOOT * 300),
+            ("wm", "pval:0.5", N_BOOT * 300),
+            ("sm", "top:20", N_BOOT * 20),
+            ("wm", "top:500", N_BOOT * 300),
+            ("tsls", "all", 0),
+            ("ivw", "all", 0),
+        ],
+    )
+    def test_bootstrap_cells_read_the_spec(self, tag, selection, cells):
+        assert harness._job_bootstrap_cells(tag, selection, 300) == cells
+
+    def test_shared_outcomes_keep_their_bits(self, monkeypatch, harness_shares, fast_switching):
+        for rep in (0, 1):
+            _spare_cpu(monkeypatch, False)
+            alone = _heavy_replicate(rep)
+            _spare_cpu(monkeypatch, True)
+            assert _heavy_replicate(rep) == alone
+            assert None not in alone
+        assert harness_shares == [2, 2]
+
+    def test_no_thread_outlives_the_replicate(self, monkeypatch, harness_shares):
+        _spare_cpu(monkeypatch)
+        before = threading.active_count()
+        _heavy_replicate()
+        assert harness_shares == [2]
+        assert threading.active_count() == before
+
+    def test_other_jobs_run_in_the_calling_thread(self, monkeypatch, fast_switching):
+        _spare_cpu(monkeypatch)
+        real, ran = harness._run_method, {}
+
+        def recording(tag, selection, *args):
+            ran[(tag, selection)] = threading.get_ident()
+            return real(tag, selection, *args)
+
+        monkeypatch.setattr(harness, "_run_method", recording)
+        _heavy_replicate()
+        assert sorted(ran) == sorted(_HEAVY_JOBS)
+        for j, job in enumerate(_HEAVY_JOBS):
+            if j not in _SHARED:
+                assert ran[job] == threading.get_ident(), job
+
+    def test_a_helper_error_reaches_the_caller(self, monkeypatch):
+        _spare_cpu(monkeypatch)
+        real, helper_ran = harness._run_method, threading.Event()
+
+        def failing_in_helper(*args):
+            if threading.current_thread() is threading.main_thread():
+                # hold the first job until the helper has taken the second
+                helper_ran.wait(timeout=30)
+                return real(*args)
+            helper_ran.set()
+            raise RuntimeError("helper failed")
+
+        monkeypatch.setattr(harness, "_run_method", failing_in_helper)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            _heavy_replicate()
+        assert helper_ran.is_set()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            # table2: every median job on top:20
+            builtin_rows("table2")[0][2],
+            # one heavy bootstrap has nothing to share with
+            [("sm", "all"), ("wm", "top:20"), ("ivw", "all")],
+        ],
+    )
+    def test_light_bootstraps_start_no_helper(self, monkeypatch, harness_shares, jobs):
+        _spare_cpu(monkeypatch)
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(genotype, "ThreadPoolExecutor", no_helper)
+        cfg = builtin_rows("table2")[0][1]
+        out = harness._replicate_outcomes((cfg, jobs, 0, 0, 0))
+        assert None not in out
+        assert harness_shares == []
 
 
 class TestBuiltinTargets:

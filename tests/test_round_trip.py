@@ -3,6 +3,8 @@ and every loader turns any other file into typed, finite data or a DataError
 (a scenario file into a valid config or a TsreError)."""
 
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tsre
 from tsre.errors import DataError, TsreError
 from tsre.genotype import GenotypeMatrix, Grm, load_genotypes, load_grm, save_genotypes, save_grm
 from tsre.harness import load_phenotype, save_phenotype
@@ -303,3 +306,45 @@ def test_loader_returns_finite_typed_data_or_data_error(name, data, tmp_path):
     except DataError:
         return
     check(loaded)
+
+
+# Every text writer and reader of the package, in a fresh interpreter in
+# which a text file opened without an explicit encoding is an error.
+_TEXT_IO = """
+import os, sys, tempfile
+sys.path.insert(0, {src!r})
+import numpy as np
+from tsre.cli import main
+from tsre.simulate import ScenarioConfig, save_scenario
+from tsre.sumstats import SUMMARY_DTYPE, load_summaries, save_summaries
+
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = os.path.join(tmp, "scenario.txt")
+    save_scenario(ScenarioConfig(n=60, m_b=10, m_c=4, sigma_gb=0.3, sigma_gc_x=0.1,
+                                 sigma_gc_y=0.1, mu_gc_x=0.2), cfg)
+    data = os.path.join(tmp, "data")
+    files = [os.path.join(data, f) for f in ("genotypes.csv", "exposure.csv", "outcome.csv")]
+    for argv in (
+        ["simulate", "--config", cfg, "--out", data],
+        ["theory", "--config", cfg],
+        ["estimate", "--genotypes", files[0], "--exposure", files[1], "--outcome", files[2],
+         "--method", "wm", "--select", "top:5"],
+        ["replicate", "--target", "custom", "--config", cfg, "--reps", "2",
+         "--out", os.path.join(tmp, "out")],
+    ):
+        assert main(argv) == 0, argv
+    summaries = np.rec.fromrecords([("v1", 0.1, 0.01, 0.2, 0.02, 0.5)], dtype=SUMMARY_DTYPE)
+    save_summaries(summaries, os.path.join(tmp, "summaries.csv"))
+    load_summaries(os.path.join(tmp, "summaries.csv"))
+"""
+
+
+def test_text_files_name_their_encoding():
+    src = str(Path(tsre.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _TEXT_IO.format(src=src)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

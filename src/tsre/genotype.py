@@ -445,16 +445,15 @@ def _standardized_product(dosages: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _block_sum(dosages, (n, w.shape[1]), term)
 
 
-def _read_dosages(gm: GenotypeMatrix, traits: np.ndarray | None = None):
+def _read_dosages(gm: GenotypeMatrix, traits: np.ndarray):
     """One read of gm's dosages in int8 column blocks.
 
-    traits, if given, is a (k, n) array of centred traits.  Returns (source,
-    gram, products, d) over the polymorphic columns: their _DosageSource,
-    their Grams, the (k, m) products traits @ Z, and the row norms
+    traits is a (k, n) array of centred traits.  Returns (source, gram,
+    products, d) over the polymorphic columns: their _DosageSource, their
+    Grams, the (k, m) products traits @ Z, and the row norms
     d_i = |z_i|^2 / m.  Monomorphic columns are dropped as in standardize.
     """
     n, m = gm.n, gm.m
-    traits = np.empty((0, n)) if traits is None else traits
     mean, ss, raw = np.empty(m), np.empty(m), np.empty((len(traits), m))
 
     def term(c0, c1, c, mu, s):

@@ -40,7 +40,7 @@ from .estimators import (
 from .genotype import (
     GenotypeMatrix,
     Grm,
-    _read_dosages,
+    _DosageSource,
     _row_norms,
     _share_out,
     _spare_cpu,
@@ -682,26 +682,25 @@ def _subset_genotypes(gm: GenotypeMatrix, rows, ids) -> GenotypeMatrix:
     )
 
 
-def _load_checked_grm(path, gm: GenotypeMatrix, ids) -> Grm:
+def _load_checked_grm(path, source: _DosageSource, d: np.ndarray, ids) -> Grm:
     """Load a precomputed GRM, which must be the all-variant GRM of the aligned
-    sample gm: the same n and m, and the diagonal |z_i|^2 / m of its
-    standardized rows."""
-    source, _, _, diag = _read_dosages(gm)
+    sample: the n and m of its polymorphic dosages source, and their row norms
+    d = |z_i|^2 / m as its diagonal."""
     grm = load_grm(path)
-    if grm.n != gm.n:
+    if grm.n != source.n:
         raise DataError(
-            f"{path}: GRM has n={grm.n} but {gm.n} individuals remain after alignment"
+            f"{path}: GRM has n={grm.n} but {source.n} individuals remain after alignment"
         )
     if grm.m_effective != source.m:
         raise DataError(
             f"{path}: GRM was built from {grm.m_effective} variants but the "
             f"genotypes have {source.m} polymorphic variants"
         )
-    bad = np.flatnonzero(np.abs(grm.diagonal() - diag) > 1e-9 * np.abs(diag))
+    bad = np.flatnonzero(np.abs(grm.diagonal() - d) > 1e-9 * np.abs(d))
     if bad.size:
         raise DataError(
             f"{path}: GRM diagonal does not match the genotypes for {bad.size} of "
-            f"{gm.n} individuals (first: {ids[bad[0]]!r}); was it built from "
+            f"{source.n} individuals (first: {ids[bad[0]]!r}); was it built from "
             "another sample?"
         )
     return grm
@@ -722,9 +721,11 @@ def estimate_real(
     cutoff before estimation.  grm_path supplies a precomputed GRM; it must
     match the aligned sample in n, m and its diagonal, and then serves only
     that filtering step.  Without it the filter builds the GRM itself from
-    the standardized matrix.  The kept sample's dosages are then read once
-    in int8 column blocks for the summaries and row norms (genotype module
-    docstring), and every method, tsre included, fits on them.
+    the standardized matrix.  The aligned sample's dosages are read once in
+    int8 column blocks for the summaries and row norms (genotype module
+    docstring), which also check the GRM file; they are read again only for
+    a kept sample that the filter made smaller.  Every method, tsre
+    included, fits on them.
     """
     selection = selection or default_selection(method)
     _check_jobs([(method, selection)])
@@ -735,17 +736,17 @@ def estimate_real(
     rows, ids, x, y = _align(gm, load_phenotype(exposure), load_phenotype(outcome))
     gm = _subset_genotypes(gm, rows, ids)
 
-    grm = None if grm_path is None else _load_checked_grm(grm_path, gm, ids)
+    summaries, source, d = _dosage_summaries(gm, x, y)
+    grm = None if grm_path is None else _load_checked_grm(grm_path, source, d, ids)
     if grm_cutoff is not None:
         kept = filter_related(compute_grm(standardize(gm)) if grm is None else grm, grm_cutoff)
         if kept.size < gm.n:
+            if kept.size < 3:
+                raise EstimationError(f"only {kept.size} individuals remain after filtering")
             gm = _subset_genotypes(gm, kept, [ids[k] for k in kept])
             x = x[kept]
             y = y[kept]
-    if gm.n < 3:
-        raise EstimationError(f"only {gm.n} individuals remain after filtering")
-
-    summaries, source, d = _dosage_summaries(gm, x, y)
+            summaries, source, d = _dosage_summaries(gm, x, y)
     est = _run_method(
         method, selection, source, summaries, d, x, y, lambda _: np.random.default_rng(0)
     )

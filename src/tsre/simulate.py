@@ -36,7 +36,6 @@ __all__ = [
     "sample_effects",
     "generate_phenotypes",
     "load_scenario",
-    "save_scenario",
 ]
 
 
@@ -202,12 +201,6 @@ _PARSERS = {
     f.name: {"int": int, "float": float, "str": str}[f.type]
     for f in fields(ScenarioConfig)
 }
-
-
-def save_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(ScenarioConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
 def load_scenario(path) -> ScenarioConfig:

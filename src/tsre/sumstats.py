@@ -4,8 +4,7 @@ Each variant is regressed marginally against the centered exposure and the
 centered outcome (slope through the origin, residual df = n - 2, matching a
 regression with intercept on uncentered data).  The summaries are one
 record array of SUMMARY_DTYPE, a row per variant whose fields read as
-attributes (s[k].gamma_x).  Selection operates purely on its fields, so
-downstream estimators can run from a summary CSV with no genotype access.
+attributes (s[k].gamma_x).  Selection operates purely on its fields.
 per_variant_regression reads a standardized matrix; replicates and `tsre
 estimate` make the same records from one read of the int8 dosages
 (_dosage_summaries, genotype module docstring).
@@ -18,7 +17,7 @@ import warnings
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, EstimationError, centre_traits, finite_float, read_csv, write_csv
+from .errors import DataError, EstimationError, centre_traits
 from .genotype import GenotypeMatrix, StandardizedGenotypes, _read_dosages
 
 __all__ = [
@@ -26,11 +25,8 @@ __all__ = [
     "per_variant_regression",
     "select_top_k",
     "select_by_pvalue",
-    "save_summaries",
-    "load_summaries",
 ]
 
-# One row per variant; the field names are also the summary CSV header.
 SUMMARY_DTYPE = np.dtype(
     [
         ("variant_id", object),
@@ -122,22 +118,3 @@ def select_by_pvalue(summaries, alpha: float) -> list[int]:
     if not 0.0 < alpha <= 1.0:
         raise DataError("selection threshold must lie in (0, 1]")
     return np.flatnonzero(np.asarray(summaries)["p_x"] < alpha).tolist()
-
-
-def save_summaries(summaries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(fh, SUMMARY_DTYPE.names, np.asarray(summaries).tolist())
-
-
-def load_summaries(path) -> np.recarray:
-    rows = read_csv(path)
-    header = next(rows)
-    if tuple(header) != SUMMARY_DTYPE.names:
-        raise DataError(f"{path}: unexpected summary header {header}")
-    return np.rec.fromrecords(
-        [
-            (ident, *(finite_float(text, path, lineno) for text in numbers))
-            for lineno, (ident, *numbers) in rows
-        ],
-        dtype=SUMMARY_DTYPE,
-    )

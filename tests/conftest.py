@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsre.genotype import GenotypeMatrix, compute_grm, standardize
-from tsre.sumstats import SUMMARY_DTYPE
+from tsre.simulate import ScenarioConfig
 
 
 def packed_to_dense(tri: np.ndarray, n: int) -> np.ndarray:
@@ -40,12 +42,10 @@ def random_standardized(rng, n, m):
     return standardize(gm)
 
 
-def assert_same_summaries(got, want):
-    """Two summary record arrays agree: ids exactly, every float field bit for bit."""
-    assert got.dtype == want.dtype
-    assert got.variant_id.tolist() == want.variant_id.tolist()
-    for name in SUMMARY_DTYPE.names[1:]:
-        assert got[name].tobytes() == want[name].tobytes(), name
+def write_scenario(cfg, path):
+    """Write cfg as the `key = value` lines that load_scenario reads."""
+    text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(ScenarioConfig))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def random_grm(rng, n, m):

@@ -427,7 +427,7 @@ class TestDosageReads:
 
     def test_read_without_traits_gives_the_row_norms(self):
         gm = self._matrix(30, 12, (4,))
-        source, gram, products, d = genotype._read_dosages(gm)
+        source, gram, products, d = genotype._read_dosages(gm, np.empty((0, 30)))
         want = standardize(gm)
         assert products.shape == (0, want.m)
         _assert_close(gram, np.full(want.m, 30.0))
@@ -437,7 +437,7 @@ class TestDosageReads:
     def test_all_monomorphic_is_an_error(self):
         gm = GenotypeMatrix(dosages=np.ones((4, 3), dtype=np.int8), variant_ids=["a", "b", "c"])
         with pytest.raises(DataError, match="monomorphic"):
-            genotype._read_dosages(gm)
+            genotype._read_dosages(gm, np.empty((0, 4)))
 
     @pytest.mark.parametrize("chunk", [None, 7 * 120])
     def test_int8_phenotypes_are_the_dense_ones(self, monkeypatch, chunk):
@@ -492,9 +492,9 @@ class TestSharedRead:
         monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60 - 1)  # 61 blocks held
         gm = TestDosageReads._matrix(60, 301)
         shared_seen.clear()
-        self._read(monkeypatch, gm, None, True)
+        self._read(monkeypatch, gm, np.empty((0, 60)), True)
         monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60)
-        self._read(monkeypatch, gm, None, True)
+        self._read(monkeypatch, gm, np.empty((0, 60)), True)
         assert shared_seen == [False, True]
 
     @pytest.mark.parametrize("column", [2, 40])  # first block, last block

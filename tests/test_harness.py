@@ -285,7 +285,7 @@ class TestRunScenario:
     def test_tsls_on_more_columns_than_rows_copies_nothing(self):
         # K > n is refused before the Fortran copy of every column (80 MB here)
         gm = simulate_genotypes(200, 50_000, 0.05, 0.5, np.random.default_rng(0))
-        source = genotype._read_dosages(gm)[0]
+        source = genotype._read_dosages(gm, np.empty((0, gm.n)))[0]
         x = y = np.zeros(gm.n)
         tracemalloc.start()
         try:
@@ -591,6 +591,16 @@ class TestPhenotypeIO:
         with pytest.raises(DataError, match="line 3.*not finite"):
             load_phenotype(path)
 
+    @pytest.mark.parametrize(
+        "text, message", [("", "empty file"), ("id,value\n", "no data rows")],
+        ids=["empty", "header_only"],
+    )
+    def test_empty_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_phenotype(path)
+
     def test_length_mismatch_on_save(self, tmp_path):
         with pytest.raises(DataError):
             save_phenotype(tmp_path / "p.csv", ["a"], [1.0, 2.0])
@@ -707,6 +717,19 @@ class TestEstimateReal:
         assert with_file.theta_hat == without.theta_hat
         assert with_file.se == without.se
 
+    def test_a_grm_file_is_checked_on_the_one_read(self, real_data, tmp_path, monkeypatch):
+        # the row norms of the read for the summaries check the file's diagonal
+        gpath, xpath, ypath, *_ = real_data
+        grm_path = tmp_path / "a.grm"
+        save_grm(compute_grm(standardize(load_genotypes(gpath))), grm_path)
+        reads = []
+        block_sum = genotype._block_sum
+        monkeypatch.setattr(
+            genotype, "_block_sum", lambda *args: reads.append(args[1]) or block_sum(*args)
+        )
+        estimate_real(gpath, xpath, ypath, method="tsre", grm_path=grm_path)
+        assert reads == [(80,)]
+
     def test_grm_size_mismatch_rejected(self, real_data, tmp_path):
         gpath, xpath, ypath, gm, pheno = real_data
         small = standardize(load_genotypes(gpath))
@@ -739,6 +762,13 @@ class TestEstimateReal:
         cutoff = (pair + background) / 2
         res = estimate_real(dup_path, xpath, ypath, method="tsre", grm_cutoff=cutoff)
         assert res.n == 79
+        # the fit is that of the kept sample, whose dosages are read again
+        # (ties go to the lower index, so individual 1 goes)
+        sub = tmp_path / "exposure_sub.csv"
+        save_phenotype(sub, gm.individual_ids[1:], pheno.x[1:])
+        want = estimate_real(dup_path, sub, ypath, method="tsre")
+        assert (res.n, res.m_used, res.theta_hat, res.se) == (
+            want.n, want.m_used, want.theta_hat, want.se)
 
     def test_validation_errors(self, real_data):
         gpath, xpath, ypath, *_ = real_data

@@ -1,6 +1,8 @@
-"""Save-then-load is the identity for every file format the package writes,
-and every loader turns any other file into typed, finite data or a DataError
-(a scenario file into a valid config or a TsreError)."""
+"""Save-then-load is the identity for every file format the package both
+writes and reads (genotypes, phenotypes, GRMs), and for a scenario file
+written in its documented `key = value` layout; every loader turns any other
+file into typed, finite data or a DataError (a scenario file into a valid
+config or a TsreError)."""
 
 import struct
 import subprocess
@@ -19,10 +21,9 @@ import tsre
 from tsre.errors import DataError, TsreError
 from tsre.genotype import GenotypeMatrix, Grm, load_genotypes, load_grm, save_genotypes, save_grm
 from tsre.harness import load_phenotype, save_phenotype
-from tsre.simulate import ScenarioConfig, load_scenario, save_scenario
-from tsre.sumstats import SUMMARY_DTYPE, load_summaries, save_summaries
+from tsre.simulate import ScenarioConfig, load_scenario
 
-from conftest import assert_same_summaries
+from conftest import write_scenario
 
 # Any text without surrogates (which UTF-8 cannot encode): commas, quotes,
 # line breaks, spaces and the empty string included.
@@ -78,23 +79,6 @@ def test_phenotypes(pheno):
     assert back_ids == ids
     assert back_values.dtype == np.float64
     assert back_values.tobytes() == np.array(values, dtype=np.float64).tobytes()
-
-
-@st.composite
-def _summaries(draw):
-    k = draw(st.integers(1, 6))
-    ids = draw(_unique_ids(k))
-    rows = draw(st.lists(st.tuples(*[_finite] * 5), min_size=k, max_size=k))
-    return np.rec.fromrecords(
-        [(ident, *row) for ident, row in zip(ids, rows)], dtype=SUMMARY_DTYPE
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(_summaries())
-def test_summaries(summaries):
-    back = _round_trip(save_summaries, load_summaries, summaries, "s.csv")
-    assert_same_summaries(back, summaries)
 
 
 @st.composite
@@ -155,7 +139,7 @@ def _check_scenario(cfg):
 @settings(max_examples=60, deadline=None)
 @given(_scenarios())
 def test_scenario(cfg):
-    back = _round_trip(save_scenario, load_scenario, cfg, "s.cfg")
+    back = _round_trip(write_scenario, load_scenario, cfg, "s.cfg")
     _check_scenario(back)
     assert back == cfg
 
@@ -170,14 +154,13 @@ def test_scenario(cfg):
 # ids, values and the characters a CSV reader trips on.
 _IDS = ["a", "b", "rs1", "", '"a,b"', '"x""y"', "\x00", "\u00e9"]
 _FLOATS = ["0", "0.5", "-2.5e-3", "3", '"2"', " 1"]
-_GOOD = {"genotypes": ["0", "1", "2"], "phenotype": _FLOATS, "summaries": _FLOATS}
+_GOOD = {"genotypes": ["0", "1", "2"], "phenotype": _FLOATS}
 _BAD = ["3", "-1", "1.0", "nan", "inf", "-inf", "1e400", "", "x", "\ufeff"]
 _HEADERS = {
     "genotypes": ["id", "rs1", "rs2"],
     "phenotype": ["id", "value"],
-    "summaries": list(SUMMARY_DTYPE.names),
 }
-_OTHERS = ["id", "value", *SUMMARY_DTYPE.names, *_IDS, *_BAD, ",", '"', "\n", "\r\n", "\r"]
+_OTHERS = ["id", "value", *_IDS, *_BAD, ",", '"', "\n", "\r\n", "\r"]
 
 
 @st.composite
@@ -271,12 +254,6 @@ def _check_phenotype(pheno):
     assert np.isfinite(values).all()
 
 
-def _check_summaries(summ):
-    assert summ.dtype == np.dtype((np.record, SUMMARY_DTYPE))
-    for name in SUMMARY_DTYPE.names[1:]:
-        assert np.isfinite(summ[name]).all()
-
-
 def _check_grm(grm):
     assert grm.lower_triangle.dtype == np.float64
     assert grm.lower_triangle.shape == (grm.n * (grm.n + 1) // 2,)
@@ -287,7 +264,6 @@ def _check_grm(grm):
 _LOADERS = {
     "genotypes": (load_genotypes, _check_genotypes, _csv_text("genotypes")),
     "phenotype": (load_phenotype, _check_phenotype, _csv_text("phenotype")),
-    "summaries": (load_summaries, _check_summaries, _csv_text("summaries")),
     "grm": (load_grm, _check_grm, _grm_bytes()),
 }
 
@@ -313,15 +289,13 @@ def test_loader_returns_finite_typed_data_or_data_error(name, data, tmp_path):
 _TEXT_IO = """
 import os, sys, tempfile
 sys.path.insert(0, {src!r})
-import numpy as np
 from tsre.cli import main
-from tsre.simulate import ScenarioConfig, save_scenario
-from tsre.sumstats import SUMMARY_DTYPE, load_summaries, save_summaries
 
 with tempfile.TemporaryDirectory() as tmp:
     cfg = os.path.join(tmp, "scenario.txt")
-    save_scenario(ScenarioConfig(n=60, m_b=10, m_c=4, sigma_gb=0.3, sigma_gc_x=0.1,
-                                 sigma_gc_y=0.1, mu_gc_x=0.2), cfg)
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write("n = 60\\nm_b = 10\\nm_c = 4\\nsigma_gb = 0.3\\nsigma_gc_x = 0.1\\n"
+                 "sigma_gc_y = 0.1\\nmu_gc_x = 0.2\\n")
     data = os.path.join(tmp, "data")
     files = [os.path.join(data, f) for f in ("genotypes.csv", "exposure.csv", "outcome.csv")]
     for argv in (
@@ -333,9 +307,6 @@ with tempfile.TemporaryDirectory() as tmp:
          "--out", os.path.join(tmp, "out")],
     ):
         assert main(argv) == 0, argv
-    summaries = np.rec.fromrecords([("v1", 0.1, 0.01, 0.2, 0.02, 0.5)], dtype=SUMMARY_DTYPE)
-    save_summaries(summaries, os.path.join(tmp, "summaries.csv"))
-    load_summaries(os.path.join(tmp, "summaries.csv"))
 """
 
 

@@ -14,9 +14,10 @@ from tsre.simulate import (
     group_layout,
     load_scenario,
     sample_effects,
-    save_scenario,
 )
 from tsre.theory import heritability, moments_from_config
+
+from conftest import write_scenario
 
 
 def _cfg(**kw):
@@ -263,7 +264,7 @@ class TestScenarioIO:
     def test_round_trip(self, tmp_path):
         cfg = _cfg(p_strong=0.2, mu_strong=0.2, sigma_strong=0.05, strong_groups="c")
         path = tmp_path / "scenario.cfg"
-        save_scenario(cfg, path)
+        write_scenario(cfg, path)
         loaded = load_scenario(path)
         assert loaded == cfg
         for f in fields(ScenarioConfig):

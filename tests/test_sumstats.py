@@ -7,14 +7,12 @@ from scipy import stats
 from tsre.errors import DataError, EstimationError
 from tsre.sumstats import (
     SUMMARY_DTYPE,
-    load_summaries,
     per_variant_regression,
-    save_summaries,
     select_by_pvalue,
     select_top_k,
 )
 
-from conftest import assert_same_summaries, random_standardized
+from conftest import random_standardized
 
 
 def _ols_with_intercept(g, trait):
@@ -142,56 +140,3 @@ class TestSelection:
     def test_threshold_is_strict(self):
         summ = _summaries([0.05, 0.049])
         assert select_by_pvalue(summ, 0.05) == [1]
-
-
-class TestSummaryIO:
-    def test_round_trip_is_exact(self, rng, tmp_path):
-        std = random_standardized(rng, 25, 5)
-        x = rng.normal(size=25)
-        y = rng.normal(size=25)
-        summ = per_variant_regression(std, x, y)
-        path = tmp_path / "summ.csv"
-        save_summaries(summ, path)
-        back = load_summaries(path)
-        assert_same_summaries(back, summ)
-
-    def test_header_is_checked(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text("variant,slope\nv1,0.5\n")
-        with pytest.raises(DataError):
-            load_summaries(path)
-
-    def test_bad_field_count_reports_line(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text(
-            "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\nv1,0.1,0.2,0.3,0.4\n"
-        )
-        with pytest.raises(DataError, match="line 2"):
-            load_summaries(path)
-
-    @pytest.mark.parametrize("bad", ["oops", "nan", "inf"])
-    def test_non_numeric_value_reports_line(self, tmp_path, bad):
-        path = tmp_path / "s.csv"
-        path.write_text(
-            f"variant_id,gamma_x,se_x,gamma_y,se_y,p_x\nv1,0.1,0.2,0.3,0.4,{bad}\n"
-        )
-        with pytest.raises(DataError, match="line 2"):
-            load_summaries(path)
-
-    def test_repeated_variant_reports_line(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text(
-            "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\n"
-            "v1,0.1,0.2,0.3,0.4,0.5\nv1,0.1,0.2,0.3,0.4,0.5\n"
-        )
-        with pytest.raises(DataError, match="line 3: duplicate id 'v1'"):
-            load_summaries(path)
-
-    @pytest.mark.parametrize(
-        "text", ["", "variant_id,gamma_x,se_x,gamma_y,se_y,p_x\n"], ids=["empty", "header_only"]
-    )
-    def test_empty_file(self, tmp_path, text):
-        path = tmp_path / "s.csv"
-        path.write_text(text)
-        with pytest.raises(DataError):
-            load_summaries(path)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, EstimationError, write_csv
 from .genotype import (
+    _individual_ids,
     compute_grm,
     load_genotypes,
     save_genotypes,
@@ -34,7 +35,7 @@ from .harness import (
     reproduce_table,
     save_phenotype,
 )
-from .simulate import generate_phenotypes, load_scenario, sample_effects
+from .simulate import generate_phenotypes, group_layout, load_scenario, sample_effects
 from .theory import (
     asymptotic_var_tsre,
     bias_egger,
@@ -103,8 +104,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
-    width = max(6, len(str(gm.n)))
-    gm.individual_ids = [f"i{r:0{width}d}" for r in range(1, gm.n + 1)]
+    gm.individual_ids = _individual_ids(gm.n)
     std = standardize(gm)
     effects = sample_effects(cfg, rng)
     pheno = generate_phenotypes(std, effects, cfg, rng)
@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
     save_phenotype(os.path.join(args.out, "exposure.csv"), gm.individual_ids, pheno.x)
     save_phenotype(os.path.join(args.out, "outcome.csv"), gm.individual_ids, pheno.y)
 
-    group = np.repeat(list("abcd"), [cfg.m_a, cfg.m_b, cfg.m_c, cfg.m_d]).tolist()
+    group = [g for g, (c0, c1) in group_layout(cfg).items() for _ in range(c0, c1)]
     effects_path = os.path.join(args.out, "effects.csv")
     with open(effects_path, "w", encoding="utf-8", newline="") as fh:
         write_csv(

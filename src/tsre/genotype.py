@@ -28,18 +28,19 @@ null_50000 replicate (n=1000, m=53000) holds 53 MB of dosages and two 2 MB
 blocks instead of a 424 MB matrix.  standardize, which holds the matrix
 whole, serves `tsre grm`, `tsre simulate` and the GRM of --grm-cutoff.
 
-When the process may use a second CPU and is not a worker of a process
-pool (run_scenario at --threads >= 2), the sampler's row chunks and the
-reads' column blocks are shared out between the calling thread and a helper
-thread started and joined inside the call (_share_out); NumPy's generators,
-ufuncs and BLAS calls release the GIL.  Each thread takes the next chunk or
-block as it finishes the last, so a thread whose CPU is slow does less.  A
-sampler thread draws each chunk from its own copy of the PCG64 bit
-generator, advanced to the chunk's first uniform, and a read holds each
-block's term until it can add them all in block order.  So the bits depend
-neither on the sharing nor on the CPU count.  The harness shares a
-replicate's heavy median bootstraps out through _share_out in the same way,
-one whole job at a time (harness._replicate_outcomes).
+The sampler's row chunks, the reads' column blocks and a replicate's heavy
+median bootstraps (harness._replicate_outcomes) all run through _share_out,
+the one place that decides whether work goes to a second CPU.  It shares
+when the caller's items may be shared, there are at least two, and the
+process may use a second CPU without being a worker of a process pool
+(run_scenario at --threads >= 2).  Then the calling thread and a helper
+thread, started and joined inside the call, each take the next item as they
+finish the last, so a thread whose CPU is slow does less; NumPy's
+generators, ufuncs and BLAS calls release the GIL.  Sampler chunks may be
+shared when the bit generator is a PCG64 one: each thread draws from its
+own copy, advanced past the chunks it skips.  A read's blocks may be shared
+when it holds each block's term until it can add them all in block order.
+So the sharing changes no bit.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ _U_MAX = 1.0 - 2.0**-53
 # Bit generators whose advance(k) skips the k 64-bit outputs that k doubles
 # of Generator.random take (Philox's advance counts blocks of four).
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
-# Block terms a shared column read may hold until it adds them in order:
-# 16 MB of float64.
+# Block terms a column read may hold until it adds them in order, which lets
+# _share_out share its blocks: 16 MB of float64.
 _SHARED_HELD_CELLS = 1 << 21
 
 
@@ -189,7 +190,8 @@ def simulate_genotypes(n: int, m: int, maf_low: float, maf_high: float, rng) -> 
     bit-identical to ``rng.uniform`` followed by ``rng.binomial(2, maf,
     size=(n, m)).astype(np.int8)``: NumPy draws each Binomial(2, p) cell by
     inversion from one uniform, and ``_binomial2`` draws the same uniforms
-    and applies the same cut points (see the module docstring).
+    and applies the same cut points, in row chunks that _share_out may share
+    with a helper thread (see the module docstring).
     """
     if n < 1 or m < 1:
         raise DataError("need at least one individual and one variant")
@@ -239,14 +241,14 @@ def _redraw_possible(u: np.ndarray, qn, px1, px2) -> bool:
 def _binomial2(maf: np.ndarray, n: int, rng) -> np.ndarray:
     """rng.binomial(2, maf, size=(n, maf.size)) as int8, drawn in row chunks.
 
-    With a PCG64 generator and a spare CPU the chunks are shared out between
-    the calling thread and a helper (_share_out): each thread draws a chunk
-    from its own copy of the bit generator, advanced to the chunk's first
-    uniform, and the caller's generator is then advanced past them all.  A
-    chunk in which NumPy would redraw a cell (about 1e-16 per cell, and only
-    in columns where the largest uniform passes all three cut points) ends
-    the sharing: the whole draw is made again in one thread from the saved
-    state, where such a chunk is drawn by rng.binomial itself.
+    The chunks go through _share_out, which may share them out between the
+    calling thread and a helper when the bit generator is a PCG64 one.  Each
+    thread draws from its own copy of the bit generator, advanced past the
+    chunks it skips, and the caller's generator then takes the state of the
+    copy that drew the last chunk.  A chunk in which NumPy would redraw a
+    cell (about 1e-16 per cell, and only in columns where the largest uniform
+    passes all three cut points) stops the chunks: the whole draw is then
+    made by rng.binomial itself, from the saved state.
     """
     m = maf.size
     flip, qn, px1, px2 = _binomial2_cuts(maf)
@@ -257,42 +259,36 @@ def _binomial2(maf: np.ndarray, n: int, rng) -> np.ndarray:
     chunks = -(-n // rows)
     bits = rng.bit_generator
     state = bits.state
-    if chunks > 1 and type(bits) in _ADVANCEABLE and _spare_cpu():
-        redraw = []
+    redraw, last = [], []
 
-        def start():
-            copy = type(bits)()
-            copy.state = state
-            own = np.random.Generator(copy)
-            u_buf, hit_buf = np.empty((rows, m)), np.empty((rows, m), dtype=bool)
-            at = 0  # uniforms this copy has passed
+    def start():
+        copy = type(bits)()
+        copy.state = state
+        own = np.random.Generator(copy)
+        u_buf, hit_buf = np.empty((min(rows, n), m)), np.empty((min(rows, n), m), dtype=bool)
+        at = 0  # uniforms this copy has passed
 
-            def draw(k):
-                nonlocal at
-                dose = out[k * rows : (k + 1) * rows]
+        def draw(k):
+            nonlocal at
+            dose = out[k * rows : (k + 1) * rows]
+            if at < k * rows * m:
                 copy.advance(k * rows * m - at)
-                at = (k * rows + len(dose)) * m
-                if redraw or not _fill(dose, u_buf, hit_buf, cuts, own):
-                    redraw.append(k)
+            at = (k * rows + len(dose)) * m
+            if redraw or not _fill(dose, u_buf, hit_buf, cuts, own):
+                redraw.append(k)
+            if k == chunks - 1:
+                last.append(copy)
 
-            return draw
+        return draw
 
-        _share_out(start, chunks, True)
-        if not redraw:
-            bits.advance(n * m)
-            # advance dropped the caller's buffered 32-bit half; random() never uses it
-            final = bits.state
-            final["has_uint32"], final["uinteger"] = state["has_uint32"], state["uinteger"]
-            bits.state = final
-            return out
+    _share_out(start, chunks, type(bits) in _ADVANCEABLE)
+    if redraw:
         bits.state = state
-    u_buf, hit_buf = np.empty((min(rows, n), m)), np.empty((min(rows, n), m), dtype=bool)
-    for k in range(chunks):
-        dose = out[k * rows : (k + 1) * rows]
-        if not _fill(dose, u_buf, hit_buf, cuts, rng):
-            rng.bit_generator.state = state
-            dose[...] = rng.binomial(2, maf, size=dose.shape)
-        state = rng.bit_generator.state
+        return rng.binomial(2, maf, size=(n, m)).astype(np.int8)
+    # advance drops a copy's buffered 32-bit half; random() never uses it
+    final = last[0].state
+    final.update((key, state[key]) for key in ("has_uint32", "uinteger") if key in state)
+    bits.state = final
     return out
 
 
@@ -326,16 +322,18 @@ def _spare_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _share_out(start, count: int, shared: bool) -> None:
+def _share_out(start, count: int, may_share: bool) -> None:
     """work(k) for k in range(count), work = start() being one thread's own.
 
-    When shared, the calling thread and a helper thread, started and joined
-    here, each take the next k as they finish the last, so a thread whose CPU
-    is slow or taken by another process does less of the work; else the
-    calling thread does it all.  The first exception stops both threads and
-    is raised here, so no thread outlives the call.
+    The one place that decides whether work goes to a second CPU: it does
+    when the caller's items may be shared, there are at least two, and
+    _spare_cpu() holds.  Then the calling thread and a helper thread, started
+    and joined here, each take the next k as they finish the last, so a
+    thread whose CPU is slow or taken by another process does less of the
+    work; else the calling thread does it all.  The first exception stops
+    both threads and is raised here, so no thread outlives the call.
     """
-    if not shared:
+    if not (may_share and count > 1 and _spare_cpu()):
         work = start()
         for k in range(count):
             work(k)
@@ -393,19 +391,18 @@ def _block_sum(dosages: np.ndarray, shape: tuple, term) -> np.ndarray:
     cast into a reused float64 buffer and centred on its column means, ss its
     column sums of squares, and each term an array of the given shape.
 
-    With a spare CPU the blocks are shared out between the calling thread
-    and a helper (_share_out), each with its own buffer, so anything else
-    term writes must go to its own block's columns.  Each block's term is
-    then held in its own row and the rows are added in block order, so the
-    sum keeps the bits of one thread; a read that would hold more than
-    _SHARED_HELD_CELLS cells runs in one thread.
+    A read whose block terms fit in _SHARED_HELD_CELLS cells holds each in
+    its own row and adds the rows in block order, so its blocks may be
+    shared out between the calling thread and a helper (_share_out), each
+    with its own buffer, and the sum keeps the bits of one thread; anything
+    else term writes must go to its own block's columns.  A larger read adds
+    each term as it comes, in one thread.
     """
     n, m = dosages.shape
     width = max(1, _CHUNK_CELLS // n)
     blocks = -(-m // width)
-    shared = 1 < blocks and blocks * math.prod(shape) <= _SHARED_HELD_CELLS and _spare_cpu()
     total = np.zeros(shape)
-    held = np.empty((blocks, *shape)) if shared else None
+    held = np.empty((blocks, *shape)) if blocks * math.prod(shape) <= _SHARED_HELD_CELLS else None
 
     def start():
         buf = np.empty(n * min(width, m))
@@ -417,15 +414,15 @@ def _block_sum(dosages: np.ndarray, shape: tuple, term) -> np.ndarray:
             mean = c.mean(axis=0)
             c -= mean
             t = term(c0, c1, c, mean, np.einsum("ij,ij->j", c, c))
-            if shared:
+            if held is not None:
                 held[k] = t
             else:
                 np.add(total, t, out=total)
 
         return read
 
-    _share_out(start, blocks, shared)
-    if shared:
+    _share_out(start, blocks, held is not None)
+    if held is not None:
         for t in held:
             total += t
     return total
@@ -544,12 +541,15 @@ def filter_related(grm: Grm, cutoff: float) -> np.ndarray:
     return retained
 
 
+def _individual_ids(n: int) -> list[str]:
+    """i000001, i000002, ...: the ids save_genotypes gives n unnamed rows."""
+    width = max(6, len(str(n)))
+    return [f"i{r:0{width}d}" for r in range(1, n + 1)]
+
+
 def save_genotypes(gm: GenotypeMatrix, path) -> None:
     """Write dosages as CSV: header `id,<variant ids>`, one row per individual."""
-    ids = gm.individual_ids
-    if ids is None:
-        width = max(6, len(str(gm.n)))
-        ids = [f"i{r:0{width}d}" for r in range(1, gm.n + 1)]
+    ids = _individual_ids(gm.n) if gm.individual_ids is None else gm.individual_ids
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(
             fh,

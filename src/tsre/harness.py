@@ -43,7 +43,6 @@ from .genotype import (
     _DosageSource,
     _row_norms,
     _share_out,
-    _spare_cpu,
     check_cutoff,
     compute_grm,
     filter_related,
@@ -244,13 +243,12 @@ def _replicate_outcomes(args):
     holds its n x m float64 standardized matrix.  A monomorphic column,
     which the effect layout cannot drop, fails every job.
 
-    With a spare CPU and at least two median jobs whose bootstrap draws
-    _SHARE_MIN_CELLS cells or more, those jobs are shared out between the
-    calling thread and a helper (genotype._share_out), each taking the next
-    in job order; the calling thread then runs every other job, so 2SLS's
-    threaded BLAS never runs beside a bootstrap.  Each job has its own
-    bootstrap stream and writes its own slot, so the outcomes keep their
-    bits.
+    The median jobs whose bootstrap draws _SHARE_MIN_CELLS cells or more run
+    first, in job order, through genotype._share_out, which shares them out
+    between the calling thread and a helper when it shares at all; the
+    calling thread then runs every other job, so 2SLS's threaded BLAS never
+    runs beside a bootstrap.  Each job has its own bootstrap stream and
+    writes its own slot, so the outcomes keep their bits.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
@@ -278,10 +276,7 @@ def _replicate_outcomes(args):
 
     m = len(summaries)
     heavy = [j for j, job in enumerate(jobs) if _job_bootstrap_cells(*job, m) >= _SHARE_MIN_CELLS]
-    if len(heavy) >= 2 and _spare_cpu():
-        _share_out(lambda: lambda k: run(heavy[k]), len(heavy), True)
-    else:
-        heavy = []
+    _share_out(lambda: lambda k: run(heavy[k]), len(heavy), True)
     for j in range(len(jobs)):
         if j not in heavy:
             run(j)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tsre import genotype, harness
 from tsre.genotype import GenotypeMatrix, compute_grm, standardize
 from tsre.simulate import ScenarioConfig
 
@@ -55,6 +56,31 @@ def random_grm(rng, n, m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def shares(monkeypatch):
+    """The item count of each genotype._share_out call, from genotype or from
+    the harness, that actually started a helper thread."""
+    seen, started = [], []
+    real_pool, real_share_out = genotype.ThreadPoolExecutor, genotype._share_out
+
+    def pool(*args, **kwargs):
+        started.append(True)
+        return real_pool(*args, **kwargs)
+
+    def spy(start, count, may_share):
+        started.clear()
+        try:
+            real_share_out(start, count, may_share)
+        finally:
+            if started:
+                seen.append(count)
+
+    monkeypatch.setattr(genotype, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(genotype, "_share_out", spy)
+    monkeypatch.setattr(harness, "_share_out", spy)
+    return seen
 
 
 @pytest.fixture

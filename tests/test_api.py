@@ -1,6 +1,7 @@
-"""The package namespace is the union of its modules' `__all__` lists, and
-importing it stays light."""
+"""The package namespace is the union of its modules' `__all__` lists,
+importing it stays light, and one function decides on a second CPU."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,33 @@ def test_import_leaves_scipy_linalg_unloaded():
     where, loaded = out.stdout.split()
     assert Path(where).resolve() == Path(tsre.__file__).resolve()
     assert loaded == "False"
+
+
+def _threading_calls(tree, owner=""):
+    """(function, callee) for each call of _spare_cpu or ThreadPoolExecutor
+    under tree; function is the dotted name of the outermost enclosing def,
+    or "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _threading_calls(node, owner or node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("_spare_cpu", "ThreadPoolExecutor"):
+                yield owner, name
+        yield from _threading_calls(node, owner)
+
+
+def test_only_share_out_decides_on_a_second_cpu():
+    # _share_out is the one place that asks for a spare CPU and starts a
+    # helper thread, so the policy can change in one function
+    package = Path(tsre.__file__).resolve().parent
+    found = [
+        f"{path.stem}.{owner}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for owner, name in _threading_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(set(found)) == [
+        "genotype._share_out: ThreadPoolExecutor", "genotype._share_out: _spare_cpu"
+    ]

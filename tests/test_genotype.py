@@ -6,7 +6,6 @@ import struct
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,17 +155,19 @@ class TestSimulateGenotypesIsNumpyBinomial:
             return True
 
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
-        monkeypatch.setattr(genotype, "_spare_cpu", lambda: True)
         monkeypatch.setattr(genotype, "_redraw_possible", always)
-        self._assert_matches(25, 10, 0.1, 0.9, 5)
-        # the shared draw stops at the first chunk of each thread that drew
-        # one, then ceil(25 / 6) chunks are drawn again in one thread
-        assert len(calls) in (1 + 5, 2 + 5)
+        for spare in (True, False):
+            monkeypatch.setattr(genotype, "_spare_cpu", lambda: spare)
+            calls.clear()
+            self._assert_matches(25, 10, 0.1, 0.9, 5)
+            # the chunks stop at the first one of each thread that drew
+            # one, and rng.binomial draws the whole matrix without asking
+            assert len(calls) in ((1, 2) if spare else (1,))
 
     def test_redraw_in_a_later_chunk_is_rng_binomial(self, monkeypatch):
         # fire only on the chunk holding row 18, the fourth of five: the
-        # shared draw stops there, whichever thread drew it, and the draw
-        # made again in the calling thread gives that chunk to rng.binomial
+        # chunks stop there, whichever thread drew it, and rng.binomial
+        # draws the whole matrix again from the saved state
         n, m, seed = 25, 10, 5
         ref = np.random.default_rng(seed)
         ref.uniform(0.1, 0.9, size=m)
@@ -181,10 +182,13 @@ class TestSimulateGenotypesIsNumpyBinomial:
             return real(u, *cuts)
 
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
-        monkeypatch.setattr(genotype, "_spare_cpu", lambda: True)
         monkeypatch.setattr(genotype, "_redraw_possible", at_marker)
-        self._assert_matches(n, m, 0.1, 0.9, seed)
-        assert len(fired) == 2 and fired[1]
+        for spare in (True, False):
+            monkeypatch.setattr(genotype, "_spare_cpu", lambda: spare)
+            fired.clear()
+            self._assert_matches(n, m, 0.1, 0.9, seed)
+            assert len(fired) == 1
+            assert fired[0] or spare
 
     def test_redraw_check_agrees_with_numpy_loop(self):
         # the largest uniform redraws in some columns; a chunk holding it is
@@ -207,23 +211,13 @@ class TestSimulateGenotypesIsNumpyBinomial:
             [np.nextafter(edge, toward) for edge in (qn, qn + px1) for toward in (0.0, 2.0)]
             + [qn, qn + px1]
         )
-        got = genotype._binomial2(maf, u.shape[0], _GivenUniforms(u))
+        cuts = genotype._binomial2_cuts(maf)
+        got = np.empty(u.shape, dtype=np.int8)
+        u_buf, hit_buf = np.empty(u.shape), np.empty(u.shape, dtype=bool)
+        # every column checked for a redraw, which none of these uniforms makes
+        assert genotype._fill(got, u_buf, hit_buf, (*cuts, cuts[1:]), _GivenUniforms(u))
         want = [[_numpy_inversion(p, v) for p, v in zip(maf.tolist(), row)] for row in u.tolist()]
         assert np.array_equal(got, np.array(want, dtype=np.int8))
-
-
-@pytest.fixture
-def shared_seen(monkeypatch):
-    """Whether each genotype._share_out call shared its work out."""
-    seen = []
-    real = genotype._share_out
-
-    def spy(start, count, shared):
-        seen.append(shared)
-        return real(start, count, shared)
-
-    monkeypatch.setattr(genotype, "_share_out", spy)
-    return seen
 
 
 def _spare_cpu(monkeypatch, flag=True):
@@ -263,16 +257,15 @@ class TestSharedSampler:
         ],
     )
     def test_shared_chunks_match_rng_binomial(
-        self, monkeypatch, shared_seen, fast_switching, n, m, chunk, chunks
+        self, monkeypatch, shares, fast_switching, n, m, chunk, chunks
     ):
         _spare_cpu(monkeypatch)
         if chunk is not None:
             monkeypatch.setattr(genotype, "_CHUNK_CELLS", chunk)
-        assert -(-n // max(1, genotype._CHUNK_CELLS // m)) == chunks
         self._assert_matches(np.random.PCG64, 11, n, m)
-        assert shared_seen == [True]
+        assert shares == [chunks]
 
-    def test_a_slow_helper_draws_fewer_chunks(self, monkeypatch, shared_seen):
+    def test_a_slow_helper_draws_fewer_chunks(self, monkeypatch, shares):
         # a helper whose CPU is taken leaves the chunks it has not started to
         # the calling thread, and the bits do not depend on who drew what
         _spare_cpu(monkeypatch)
@@ -287,30 +280,42 @@ class TestSharedSampler:
 
         monkeypatch.setattr(genotype, "_fill", slow_helper)
         self._assert_matches(np.random.PCG64, 14, 1000, 53)
-        assert shared_seen == [True] and len(on_main) == 36
+        assert shares == [36] and len(on_main) == 36
         assert on_main.count(True) > on_main.count(False)
 
     @pytest.mark.parametrize(
         "bits,shared",
         [
-            (np.random.PCG64DXSM, [True]),
+            (np.random.PCG64DXSM, [5]),
             (np.random.MT19937, []),  # no advance
             (np.random.SFC64, []),  # no advance
             (np.random.Philox, []),  # advance counts blocks of four outputs
         ],
     )
-    def test_only_pcg64_generators_share(self, monkeypatch, shared_seen, bits, shared):
+    def test_only_pcg64_generators_share(self, monkeypatch, shares, bits, shared):
         _spare_cpu(monkeypatch)
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
         self._assert_matches(bits, 12, 25, 10)
-        assert shared_seen == shared
+        assert shares == shared
 
-    def test_one_cpu_takes_one_thread(self, monkeypatch, shared_seen):
+    @pytest.mark.parametrize(
+        "bits",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64, np.random.Philox],
+    )
+    def test_one_thread_chunks_match_rng_binomial(self, monkeypatch, shares, bits):
+        # the one chunk loop, run by the calling thread alone: its copy of
+        # the generator never advances, and hands its state back
+        _spare_cpu(monkeypatch, False)
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)  # 5 chunks
+        self._assert_matches(bits, 15, 25, 10)
+        assert shares == []
+
+    def test_one_cpu_takes_one_thread(self, monkeypatch, shares):
         monkeypatch.setattr(genotype.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 64)
         assert not genotype._spare_cpu()
         self._assert_matches(np.random.PCG64, 13, 25, 10)
-        assert shared_seen == []
+        assert shares == []
 
     def test_a_pool_worker_takes_one_thread(self, monkeypatch):
         """run_scenario's workers at --threads >= 2 already share the CPUs."""
@@ -320,12 +325,12 @@ class TestSharedSampler:
         with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
             assert pool.submit(genotype._spare_cpu).result() is False
 
-    def test_no_thread_outlives_the_draw(self, monkeypatch, shared_seen):
+    def test_no_thread_outlives_the_draw(self, monkeypatch, shares):
         _spare_cpu(monkeypatch)
         before = threading.active_count()
         gm = simulate_genotypes(600, 1000, 0.05, 0.5, np.random.default_rng(1))
         _dosage_summaries(gm, np.arange(600.0), np.arange(600.0) % 7)
-        assert shared_seen == [True, True]
+        assert shares == [3, 3]  # 262-row chunks, 436-column blocks
         assert threading.active_count() == before
 
 
@@ -334,7 +339,6 @@ class _GivenUniforms:
 
     def __init__(self, u):
         self.u = u
-        self.bit_generator = SimpleNamespace(state=None)
 
     def random(self, out):
         out[...] = self.u
@@ -474,42 +478,46 @@ class TestSharedRead:
     # blocks of 5 columns: 61 blocks, the last of one column
     @pytest.mark.parametrize("monomorphic", [(), (3,), (200,), (3, 154, 155, 300)])
     def test_shared_read_is_the_one_thread_read(
-        self, monkeypatch, shared_seen, fast_switching, monomorphic
+        self, monkeypatch, shares, fast_switching, monomorphic
     ):
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
         gm = TestDosageReads._matrix(60, 301, monomorphic)
+        shares.clear()  # the sampler's
         traits = np.random.default_rng(3).normal(size=(2, 60))
-        shared_seen.clear()
         one = self._read(monkeypatch, gm, traits, False)
+        assert shares == []
         two = self._read(monkeypatch, gm, traits, True)
-        assert shared_seen == [False, True]
+        assert shares == [61]
         for got, want in zip(two, one):
             assert np.array_equal(got, want)
         assert two[-1] == sorted(monomorphic)
 
-    def test_a_read_too_large_to_hold_runs_in_one_thread(self, monkeypatch, shared_seen):
+    def test_a_read_too_large_to_hold_runs_in_one_thread(self, monkeypatch, shares):
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
         monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60 - 1)  # 61 blocks held
         gm = TestDosageReads._matrix(60, 301)
-        shared_seen.clear()
+        shares.clear()  # the sampler's
         self._read(monkeypatch, gm, np.empty((0, 60)), True)
+        assert shares == []
         monkeypatch.setattr(genotype, "_SHARED_HELD_CELLS", 61 * 60)
         self._read(monkeypatch, gm, np.empty((0, 60)), True)
-        assert shared_seen == [False, True]
+        assert shares == [61]
 
     @pytest.mark.parametrize("column", [2, 40])  # first block, last block
-    def test_an_error_in_either_thread_reaches_the_caller(self, monkeypatch, shared_seen, column):
+    def test_an_error_in_either_thread_reaches_the_caller(self, monkeypatch, shares, column):
         _spare_cpu(monkeypatch)
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * 60)
         gm = TestDosageReads._matrix(60, 44, (column,))
-        shared_seen.clear()
+        shares.clear()  # the sampler's
         before = threading.active_count()
         with pytest.raises(DataError, match="cannot standardize a monomorphic column"):
             genotype._standardized_product(gm.dosages, np.ones((44, 2)))
-        assert shared_seen == [True]
+        assert shares == [9]
         assert threading.active_count() == before
 
-    def test_a_helper_error_stops_the_caller_and_reaches_it(self):
+    def test_a_helper_error_stops_the_caller_and_reaches_it(self, monkeypatch):
+        # shares on a one-CPU host too
+        _spare_cpu(monkeypatch)
         done = []
 
         def start():

@@ -345,24 +345,9 @@ _HEAVY_JOBS = [
 _SHARED = [1, 3]  # the heavy jobs' indices
 
 
-@pytest.fixture
-def harness_shares(monkeypatch):
-    """The job counts of the harness's _share_out calls."""
-    seen = []
-    real = harness._share_out
-
-    def spy(start, count, shared):
-        seen.append(count)
-        return real(start, count, shared)
-
-    monkeypatch.setattr(harness, "_share_out", spy)
-    return seen
-
-
 def _spare_cpu(monkeypatch, flag=True):
-    """Patch the harness's gate and the sampler's and reads' gate."""
+    """Patch the one gate, which _share_out asks."""
     monkeypatch.setattr(genotype, "_spare_cpu", lambda: flag)
-    monkeypatch.setattr(harness, "_spare_cpu", lambda: flag)
 
 
 def _heavy_replicate(rep=0):
@@ -387,21 +372,38 @@ class TestSharedBootstraps:
     def test_bootstrap_cells_read_the_spec(self, tag, selection, cells):
         assert harness._job_bootstrap_cells(tag, selection, 300) == cells
 
-    def test_shared_outcomes_keep_their_bits(self, monkeypatch, harness_shares, fast_switching):
+    def test_shared_outcomes_keep_their_bits(self, monkeypatch, shares, fast_switching):
         for rep in (0, 1):
             _spare_cpu(monkeypatch, False)
             alone = _heavy_replicate(rep)
             _spare_cpu(monkeypatch, True)
             assert _heavy_replicate(rep) == alone
             assert None not in alone
-        assert harness_shares == [2, 2]
+        # one sampler chunk and one read block: only the two bootstraps share
+        assert shares == [2, 2]
 
-    def test_no_thread_outlives_the_replicate(self, monkeypatch, harness_shares):
+    def test_no_thread_outlives_the_replicate(self, monkeypatch, shares):
         _spare_cpu(monkeypatch)
         before = threading.active_count()
         _heavy_replicate()
-        assert harness_shares == [2]
+        assert shares == [2]
         assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_helper_and_keeps_the_bits(self, monkeypatch, shares):
+        # 16-row sampler chunks and 25-column read blocks: every stage that
+        # could share has several items, and the replicate has two heavy jobs
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5000)
+        _spare_cpu(monkeypatch, True)
+        shared = _heavy_replicate()
+        assert shares == [13, 12, 12, 2]
+        _spare_cpu(monkeypatch, False)
+
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(genotype, "ThreadPoolExecutor", no_helper)
+        assert _heavy_replicate() == shared
+        assert None not in shared
 
     def test_other_jobs_run_in_the_calling_thread(self, monkeypatch, fast_switching):
         _spare_cpu(monkeypatch)
@@ -446,7 +448,7 @@ class TestSharedBootstraps:
             [("sm", "all"), ("wm", "top:20"), ("ivw", "all")],
         ],
     )
-    def test_light_bootstraps_start_no_helper(self, monkeypatch, harness_shares, jobs):
+    def test_light_bootstraps_start_no_helper(self, monkeypatch, shares, jobs):
         _spare_cpu(monkeypatch)
 
         def no_helper(*args, **kwargs):
@@ -456,7 +458,7 @@ class TestSharedBootstraps:
         cfg = builtin_rows("table2")[0][1]
         out = harness._replicate_outcomes((cfg, jobs, 0, 0, 0))
         assert None not in out
-        assert harness_shares == []
+        assert shares == []
 
 
 class TestBuiltinTargets:

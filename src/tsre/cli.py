@@ -105,9 +105,8 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     gm = simulate_genotypes(cfg.n, cfg.m_total, cfg.maf_low, cfg.maf_high, rng)
     gm.individual_ids = _individual_ids(gm.n)
-    std = standardize(gm)
     effects = sample_effects(cfg, rng)
-    pheno = generate_phenotypes(std, effects, cfg, rng)
+    pheno = generate_phenotypes(gm, effects, cfg, rng)
 
     geno_path = os.path.join(args.out, "genotypes.csv")
     save_genotypes(gm, geno_path)

@@ -1,5 +1,6 @@
-"""The package namespace is the union of its modules' `__all__` lists,
-importing it stays light, and one function decides on a second CPU."""
+"""The package namespace is the union of its modules' `__all__` lists, it
+holds no other module but the CLI, importing it stays light, and one
+function decides on a second CPU."""
 
 import ast
 import subprocess
@@ -22,9 +23,18 @@ def test_reexports_every_module_name_once():
             assert getattr(tsre, name) is getattr(module, name), name
 
 
+def test_package_holds_only_the_reexported_modules_and_the_cli():
+    # each module is the CLI or part of the public namespace, so no helper
+    # layer can sit beside them unnoticed
+    package = Path(tsre.__file__).resolve().parent
+    found = sorted(path.stem for path in package.glob("*.py"))
+    want = ["__init__", "cli", *(module.__name__.rpartition(".")[2] for module in MODULES)]
+    assert found == sorted(want)
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg adds about 50 ms to a fresh `import tsre`, and only the
-    # packed-triangle kernel needs it, so kernels imports it on first use
+    # packed-GRM fit needs it, so engine._grm_sums imports it on first use
     src = Path(tsre.__file__).resolve().parent.parent
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import tsre; "

@@ -1,6 +1,5 @@
 """Pairwise second-moment engine against enumerating-all-pairs oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,17 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsre import engine, genotype
-from tsre.engine import (
-    PairMoments,
-    moment_diagnostic,
-    pair_moments,
-    tsre_estimate,
-)
+from tsre.engine import moment_diagnostic, tsre_estimate
 from tsre.errors import DataError, EstimationError
-from tsre.genotype import Grm, compute_grm, simulate_genotypes, standardize
-from tsre.sumstats import _dosage_summaries
+from tsre.genotype import Grm, _row_norms, compute_grm, simulate_genotypes, standardize
+from tsre.sumstats import _dosage_summaries, per_variant_regression
 
-from conftest import dense_to_packed, random_standardized
+from conftest import dense_to_packed, packed_to_dense, random_standardized
 
 
 def _grm_from_dense(a, m_effective=3):
@@ -63,30 +57,35 @@ def _oracle_theta(a, x, y):
 
 
 class TestPairMoments:
+    # the pair sums of engine._grm_sums and engine._trait_sums, and the
+    # input checks of the two public fits built on them
     def test_two_individual_worked_example(self):
         # one pair with A_12 = -1, x = (1, 2): s_axx = -1 * 1 * 2 = -2
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        pm = pair_moments(_grm_from_dense(a), np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        assert pm.s_axx == -2.0
-        assert pm.s_a == -1.0
-        assert pm.n_pairs == 1
-        assert pm.s_xx == 2.0
+        x, y = np.array([1.0, 2.0]), np.array([0.0, 0.0])
+        s_axx, _, s_a = engine._grm_sums(_grm_from_dense(a), x, y)
+        npairs, s_xx, _, _ = engine._trait_sums(x, y)
+        assert s_axx == -2.0
+        assert s_a == -1.0
+        assert npairs == 1
+        assert s_xx == 2.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_pair_enumeration(self, seed):
         a, x, y = _random_problem(seed)
-        pm = pair_moments(_grm_from_dense(a), x, y)
+        s_axx, s_axy, s_a = engine._grm_sums(_grm_from_dense(a), x, y)
+        npairs, s_xx, s_xy, s_xx2 = engine._trait_sums(x, y)
         av, pv, qv = _pair_table(a, x, y)
-        assert pm.n_pairs == av.size
-        np.testing.assert_allclose(pm.s_axx, np.sum(av * pv), rtol=1e-12)
-        np.testing.assert_allclose(pm.s_axy, np.sum(av * qv), rtol=1e-12)
-        np.testing.assert_allclose(pm.s_a, av.sum(), rtol=1e-12)
+        assert npairs == av.size
+        np.testing.assert_allclose(s_axx, np.sum(av * pv), rtol=1e-12)
+        np.testing.assert_allclose(s_axy, np.sum(av * qv), rtol=1e-12)
+        np.testing.assert_allclose(s_a, av.sum(), rtol=1e-12)
         np.testing.assert_allclose(
-            pm.s_xx, sum(x[i] * x[j] for i in range(len(x)) for j in range(i)),
+            s_xx, sum(x[i] * x[j] for i in range(len(x)) for j in range(i)),
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            pm.s_xy,
+            s_xy,
             sum(
                 (x[i] * y[j] + y[i] * x[j]) / 2
                 for i in range(len(x))
@@ -95,7 +94,7 @@ class TestPairMoments:
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            pm.s_xx2,
+            s_xx2,
             sum((x[i] * x[j]) ** 2 for i in range(len(x)) for j in range(i)),
             rtol=1e-12,
         )
@@ -103,38 +102,137 @@ class TestPairMoments:
     def test_no_centering_applied(self):
         a, x, y = _random_problem(3, n=6)
         grm = _grm_from_dense(a)
-        shifted = pair_moments(grm, x + 10.0, y)
-        plain = pair_moments(grm, x, y)
-        assert shifted.s_axx != pytest.approx(plain.s_axx)
+        shifted = engine._grm_sums(grm, x + 10.0, y)
+        plain = engine._grm_sums(grm, x, y)
+        assert shifted[0] != pytest.approx(plain[0])
+        assert engine._trait_sums(x + 10.0, y)[1] != pytest.approx(engine._trait_sums(x, y)[1])
 
-    def test_length_mismatch(self):
+    def test_length_mismatch(self, rng):
         a, x, y = _random_problem(0, n=5)
+        grm = _grm_from_dense(a)
+        std = random_standardized(rng, 5, 4)
+        for source in (grm, std):
+            with pytest.raises(DataError, match="length mismatch"):
+                tsre_estimate(source, x[:-1], y)
         with pytest.raises(DataError, match="length mismatch"):
-            pair_moments(_grm_from_dense(a), x[:-1], y)
+            moment_diagnostic(grm, x[:-1], y, 0.3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_phenotype_rejected(self, bad):
         a, x, y = _random_problem(2, n=5)
         x[3] = bad
         with pytest.raises(DataError, match="finite"):
-            pair_moments(_grm_from_dense(a), x, y)
+            moment_diagnostic(_grm_from_dense(a), x, y, 0.3)
         with pytest.raises(DataError, match="finite"):
             tsre_estimate(_grm_from_dense(a), y, x)
 
     def test_single_individual_rejected(self, rng):
         a = np.array([[1.0]])
-        with pytest.raises(DataError):
-            pair_moments(_grm_from_dense(a), np.array([1.0]), np.array([1.0]))
-        # genotypes need a third: their sums come from per-variant regressions
+        with pytest.raises(DataError, match="at least 2 individuals"):
+            moment_diagnostic(_grm_from_dense(a), np.array([1.0]), np.array([1.0]), 0.3)
+        # the fit needs a third: genotypes give their sums through
+        # per-variant regressions
         std = random_standardized(rng, 2, 5)
         with pytest.raises(DataError, match="at least 3 individuals"):
-            pair_moments(std, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+            tsre_estimate(std, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
 
-    def test_result_is_immutable(self):
-        a, x, y = _random_problem(1, n=4)
-        pm = pair_moments(_grm_from_dense(a), x, y)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pm.s_axx = 0.0
+
+# (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
+# GRM of m simulated variants, whose pair sums are also taken from the
+# summaries and row norms of the standardized genotypes, for any m.  With
+# m >> n that GRM is diagonal-dominant (off-diagonal entries ~ 1/sqrt(m)
+# against a unit diagonal), as in the many-null-variant regime, so the pair
+# sums are small differences of whole-triangle and diagonal terms.  The GRMs
+# come from simulate_genotypes, the sampler the replicates use, so they have
+# the allele frequencies (0.2-0.3) of the simulated rows; conftest.random_grm
+# draws dosages 0, 1, 2 uniformly instead.
+CASES = [
+    (2, 0, None),
+    (3, 1, None),
+    (5, 2, None),
+    (17, 3, None),
+    (40, 4, None),
+    (7, 5, None),
+    (5, 6, 5000),
+    (17, 7, 20000),
+    (40, 8, 50000),
+    (40, 9, 10),
+    (60, 10, 1),
+]
+
+
+def _random_instance(n, seed, m):
+    rng = np.random.default_rng(seed)
+    gm = std = None
+    if m is None:
+        a = rng.normal(size=(n, n))
+        a = (a + a.T) / 2
+        grm = _grm_from_dense(a, m_effective=1)
+    else:
+        gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
+        std = standardize(gm)
+        grm = compute_grm(std)
+        a = packed_to_dense(grm.lower_triangle, n)
+    x = rng.normal(size=n)
+    y = rng.normal(size=n)
+    return a, grm, x, y, gm, std
+
+
+def _pair_sums_oracle(a, x, y):
+    n = a.shape[0]
+    s_axx = s_axy = s_a = 0.0
+    for i in range(n):
+        for j in range(i):
+            s_a += a[i, j]
+            s_axx += a[i, j] * x[i] * x[j]
+            s_axy += a[i, j] * (x[i] * y[j] + y[i] * x[j]) / 2
+    return s_axx, s_axy, s_a
+
+
+def _diag_sums_oracle(a, x, y, theta, a_bar, e_bar):
+    n = a.shape[0]
+    s_t = s_tt = 0.0
+    for i in range(n):
+        for j in range(i):
+            e = (x[i] * y[j] + y[i] * x[j]) / 2 - theta * x[i] * x[j]
+            t = (a[i, j] - a_bar) * (e - e_bar)
+            s_t += t
+            s_tt += t * t
+    return s_t, s_tt
+
+
+@pytest.mark.parametrize("n,seed,m", CASES)
+def test_pair_sums_matches_double_loop(n, seed, m, monkeypatch):
+    a, grm, x, y, gm, std = _random_instance(n, seed, m)
+    want = _pair_sums_oracle(a, x, y)
+    sums = [engine._grm_sums(grm, x, y)]
+    if gm is not None:
+        # the summaries route of the genotypes: Z whole, and the int8
+        # dosages read in about three column blocks, as a replicate reads them
+        monkeypatch.setattr(genotype, "_CHUNK_CELLS", n * -(-m // 3))
+        summaries, _, d = _dosage_summaries(gm, x, y)
+        sums.append(engine._summary_sums(per_variant_regression(std, x, y), _row_norms(std.values), x, y))
+        sums.append(engine._summary_sums(summaries, d, x, y))
+    for got in sums:
+        assert all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,seed,m", CASES)
+def test_diag_sums_matches_double_loop(n, seed, m):
+    a, grm, x, y, *_ = _random_instance(n, seed, m)
+    theta, a_bar, e_bar = 0.37, 0.05, -0.2
+    got = engine._diag_sums(grm, x, y, theta, a_bar, e_bar)
+    want = _diag_sums_oracle(a, x, y, theta, a_bar, e_bar)
+    assert all(type(v) is float for v in got)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_single_individual_has_no_pairs():
+    grm = Grm(n=1, lower_triangle=np.array([1.0]), m_effective=1)
+    x = np.array([2.0])
+    assert engine._grm_sums(grm, x, x) == (0.0, 0.0, 0.0)
+    assert engine._trait_sums(x, x) == (0, 0.0, 0.0, 0.0)
 
 
 class TestTsreEstimate:
@@ -303,9 +401,22 @@ class TestMomentDiagnostic:
         assert math.isfinite(mean)
         assert z == 0.0 or math.isinf(z)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        a, x, y = _random_problem(23, n=8)
+        with pytest.raises(DataError, match="theta must be finite, got (nan|-?inf)"):
+            moment_diagnostic(_grm_from_dense(a), x, y, theta)
+
+    def test_overflowing_residual_moments_are_an_estimation_error(self):
+        # every warning fails a test, so this also checks that NumPy's
+        # overflow and invalid-value warnings stay inside the diagnostic
+        a, x, y = _random_problem(23, n=8)
+        with pytest.raises(EstimationError, match="overflow"):
+            moment_diagnostic(_grm_from_dense(a), x, y, 1e300)
+
     def test_genotypes_rejected_before_any_work(self, rng):
-        # tsre_estimate and pair_moments take genotypes; the diagnostic needs
-        # the GRM entries and says how to build them
+        # tsre_estimate takes genotypes; the diagnostic needs the GRM
+        # entries and says how to build them
         std = random_standardized(rng, 50, 20)
         x = rng.normal(size=50)
         with pytest.raises(TypeError, match="Grm.*compute_grm"):
@@ -374,9 +485,11 @@ def test_property_diagnostic_vanishes_at_fit(problem):
         return
     mean, _ = moment_diagnostic(grm, x, y, fit.theta_hat)
     # the cross-pair slope of the fit scales the bound
-    pm = pair_moments(grm, x - x.mean(), y - y.mean())
+    xc, yc = x - x.mean(), y - y.mean()
+    _, s_axy, s_a = engine._grm_sums(grm, xc, yc)
+    npairs, _, s_xy, _ = engine._trait_sums(xc, yc)
     av, _, _ = _pair_table(a, x, y)
     s_aa = np.sum(av * av)
-    delta = (pm.s_axy - pm.s_a * pm.s_xy / pm.n_pairs) / (s_aa - pm.s_a**2 / pm.n_pairs)
+    delta = (s_axy - s_a * s_xy / npairs) / (s_aa - s_a**2 / npairs)
     # normal equation: the centered moment at theta_hat is identically zero
     assert abs(mean) < 1e-10 * max(1.0, abs(delta))

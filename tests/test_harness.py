@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsre import engine, genotype, harness, kernels
+from tsre import engine, genotype, harness
 from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
@@ -245,7 +245,7 @@ class TestRunScenario:
             raise AssertionError("GRM built or reduced, or summaries made again")
 
         monkeypatch.setattr(harness, "compute_grm", no_grm)
-        monkeypatch.setattr(kernels, "pair_sums", no_grm)
+        monkeypatch.setattr(engine, "_grm_sums", no_grm)
         monkeypatch.setattr(engine, "per_variant_regression", no_grm)
         selections = ("all", "top:5", "pval:0.05")
         jobs = [("tsre", selection) for selection in selections]

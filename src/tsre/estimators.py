@@ -218,12 +218,6 @@ def _weighted_median(ratios: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.where(0.5 >= p[:, -1], r[:, -1], out)
 
 
-def _bootstrap_cells(k: int) -> int:
-    """Cells of each of the two normal draws a median bootstrap takes on K
-    variants."""
-    return N_BOOT * k
-
-
 def _bootstrap_se(point_fn, gx, se_x, gy, se_y, rng) -> float:
     """sd of point_fn over N_BOOT parametric bootstrap draws, with by drawn
     in row blocks (module docstring) and the bits, in place, of

@@ -26,7 +26,7 @@ _DosageSource, the dosages of the polymorphic columns with their means and
 sds, which recomputes only the columns a later product needs.  A table4
 null_50000 replicate (n=1000, m=53000) holds 53 MB of dosages and two 2 MB
 blocks instead of a 424 MB matrix.  standardize, which holds the matrix
-whole, serves `tsre grm`, `tsre simulate` and the GRM of --grm-cutoff.
+whole, serves `tsre grm` and the GRM of --grm-cutoff.
 
 The sampler's row chunks, the reads' column blocks and a replicate's heavy
 median bootstraps (harness._replicate_outcomes) all run through _share_out,
@@ -89,7 +89,8 @@ def _repeated(ids: list[str]) -> str | None:
 
 @dataclass
 class GenotypeMatrix:
-    """Raw dosages plus variant bookkeeping; each variant id names one column."""
+    """Raw dosages plus variant bookkeeping; each variant id names one column
+    and each individual id, when given, one row."""
 
     dosages: np.ndarray
     variant_ids: list[str]
@@ -104,6 +105,13 @@ class GenotypeMatrix:
         dup = _repeated(self.variant_ids)
         if dup is not None:
             raise DataError(f"variant id {dup!r} names more than one column")
+        if self.individual_ids is None:
+            return
+        if self.dosages.shape[0] != len(self.individual_ids):
+            raise DataError("individual id count does not match dosage rows")
+        dup = _repeated(self.individual_ids)
+        if dup is not None:
+            raise DataError(f"individual id {dup!r} names more than one row")
 
     @property
     def n(self) -> int:
@@ -587,7 +595,12 @@ def load_genotypes(path) -> GenotypeMatrix:
 
 def save_grm(grm: Grm, path) -> None:
     """Binary layout: magic 'GRM1', n and m_effective as little-endian u64,
-    then the packed lower triangle as little-endian f64."""
+    then the packed lower triangle as little-endian f64.  A NaN or infinite
+    entry, which load_grm would reject, is a DataError before the file is
+    opened."""
+    nonfinite = np.count_nonzero(~np.isfinite(grm.lower_triangle))
+    if nonfinite:
+        raise DataError(f"{nonfinite} GRM entries are NaN or infinite")
     with open(path, "wb") as fh:
         fh.write(_GRM_MAGIC)
         fh.write(struct.pack("<QQ", grm.n, grm.m_effective))

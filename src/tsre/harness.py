@@ -28,8 +28,8 @@ from .errors import (
     write_csv,
 )
 from .estimators import (
+    N_BOOT,
     Estimate,
-    _bootstrap_cells,
     _check_instruments,
     egger,
     ivw,
@@ -41,6 +41,7 @@ from .genotype import (
     GenotypeMatrix,
     Grm,
     _DosageSource,
+    _repeated,
     _row_norms,
     _share_out,
     check_cutoff,
@@ -67,10 +68,6 @@ LONG_HEADER = ["target", "row_id", "method", "selection", "rep", "estimate", "se
 # runs only through `tsre estimate --method tsls`.
 DEFAULT_METHODS = ("sm", "wm", "ivw", "egger", "tsre")
 METHOD_TAGS = ("sm", "wm", "ivw", "ivw_fe", "egger", "tsre", "tsls")
-
-# Fixed slots so that per-method bootstrap streams do not depend on the
-# order or subset of requested methods.
-_METHOD_SLOTS = {tag: i for i, tag in enumerate(METHOD_TAGS)}
 
 _OMITTED_NOTE = "# omitted methods: divw, raps, lasso (not implemented)"
 
@@ -177,28 +174,18 @@ def default_selection(tag: str) -> str:
     return "all" if tag == "tsre" else "top:20"
 
 
-# Summary-statistic methods: tag -> estimator over the selected summaries;
-# rng_for(tag) supplies the bootstrap stream of the median methods.
-_SUMMARY_METHODS = {
-    "ivw": lambda selected, rng_for: ivw(selected, mode="random"),
-    "ivw_fe": lambda selected, rng_for: ivw(selected, mode="fixed"),
-    "egger": lambda selected, rng_for: egger(selected),
-    "sm": lambda selected, rng_for: simple_median(selected, rng=rng_for("sm")),
-    "wm": lambda selected, rng_for: weighted_median(selected, rng=rng_for("wm")),
-}
-
-
-def _run_method(tag, selection, source, summaries, d, x, y, rng_for) -> Estimate:
-    """Run one checked (method, selection) pair.
+def _run_method(tag, cols, source, summaries, d, x, y, rng=None) -> Estimate:
+    """Run one checked method on the columns cols that _select picked (None
+    for 'all').
 
     summaries, source and d come from one read of the int8 dosages
     (sumstats._dosage_summaries).  tsre fits from the selected summaries
     plus the row norms of the selected columns, which on 'all' are d, so it
     builds no GRM and takes no product of the genotypes with the traits
     (engine._summary_fit).  tsls and tsre on a subset recompute only the
-    standardized columns they select.
+    standardized columns they select.  rng is the bootstrap stream of sm and
+    wm; without one they draw from default_rng(0).
     """
-    cols = _select(summaries, selection)
     if tag == "tsls":
         # A Fortran-ordered column copy even for 'all': 2SLS on C-ordered
         # columns differs in the last bits.  K > n fails before anything is
@@ -211,7 +198,13 @@ def _run_method(tag, selection, source, summaries, d, x, y, rng_for) -> Estimate
         if cols is not None:
             d = _row_norms(source.columns(cols, "C"))
         return _summary_fit(selected, d, x, y)
-    return _SUMMARY_METHODS[tag](selected, rng_for)
+    if tag == "sm":
+        return simple_median(selected, rng=rng)
+    if tag == "wm":
+        return weighted_median(selected, rng=rng)
+    if tag == "egger":
+        return egger(selected)
+    return ivw(selected, mode="fixed" if tag == "ivw_fe" else "random")
 
 
 # Least bootstrap size, in cells, of a median job that _replicate_outcomes
@@ -223,16 +216,6 @@ def _run_method(tag, selection, source, summaries, d, x, y, rng_for) -> Estimate
 _SHARE_MIN_CELLS = 200_000
 
 
-def _job_bootstrap_cells(tag: str, selection: str, m: int) -> int:
-    """Cells of the bootstrap a median method draws on a selection of m
-    variants (0 for the other methods), read from the spec without
-    selecting: 'all' and 'pval:A' count as m, 'top:K' as min(K, m)."""
-    if tag not in ("sm", "wm"):
-        return 0
-    kind, value = parse_selection(selection)
-    return _bootstrap_cells(min(value, m) if kind == "top" else m)
-
-
 def _replicate_outcomes(args):
     """Worker: simulate one replicate and run every method on it.
 
@@ -241,14 +224,17 @@ def _replicate_outcomes(args):
     int8 dosages twice, in column blocks: once for the phenotypes and once
     for the summaries and row norms (genotype module docstring), so it never
     holds its n x m float64 standardized matrix.  A monomorphic column,
-    which the effect layout cannot drop, fails every job.
+    which the effect layout cannot drop, fails every job.  Each distinct
+    selection is made once, in first-seen job order; one that fails fails
+    only the jobs on it.
 
-    The median jobs whose bootstrap draws _SHARE_MIN_CELLS cells or more run
-    first, in job order, through genotype._share_out, which shares them out
-    between the calling thread and a helper when it shares at all; the
-    calling thread then runs every other job, so 2SLS's threaded BLAS never
-    runs beside a bootstrap.  Each job has its own bootstrap stream and
-    writes its own slot, so the outcomes keep their bits.
+    The median jobs whose bootstrap draws _SHARE_MIN_CELLS cells or more on
+    the variants they selected run first, in job order, through
+    genotype._share_out, which shares them out between the calling thread
+    and a helper when it shares at all; the calling thread then runs every
+    other job, so 2SLS's threaded BLAS never runs beside a bootstrap.  Each
+    job has its own bootstrap stream and writes its own slot, so the
+    outcomes keep their bits.
     """
     cfg, jobs, seed, row_key, rep = args
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row_key, rep)))
@@ -262,22 +248,37 @@ def _replicate_outcomes(args):
     except TsreError:
         return out
 
-    def rng_for(tag):
-        key = (row_key, rep, 1000 + _METHOD_SLOTS[tag])
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    picked = {}
+    for selection in dict.fromkeys(sel for _, sel in jobs):
+        try:
+            picked[selection] = _select(summaries, selection)
+        except TsreError:
+            pass
+    todo = [j for j, (_, selection) in enumerate(jobs) if selection in picked]
 
     def run(j):
         tag, selection = jobs[j]
+        boot = None
+        if tag in ("sm", "wm"):
+            # keyed by the tag's place in METHOD_TAGS, so that a stream
+            # depends on neither the order nor the subset of the methods
+            key = (row_key, rep, 1000 + METHOD_TAGS.index(tag))
+            boot = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
         try:
-            est = _run_method(tag, selection, source, summaries, d, pheno.x, pheno.y, rng_for)
+            est = _run_method(tag, picked[selection], source, summaries, d, pheno.x, pheno.y, boot)
             out[j] = (est.theta_hat, est.se)
         except TsreError:
             pass
 
-    m = len(summaries)
-    heavy = [j for j, job in enumerate(jobs) if _job_bootstrap_cells(*job, m) >= _SHARE_MIN_CELLS]
-    _share_out(lambda: lambda k: run(heavy[k]), len(heavy), True)
-    for j in range(len(jobs)):
+    def heavy_job(j):
+        tag, selection = jobs[j]
+        cols = picked[selection]
+        k = source.m if cols is None else len(cols)
+        return tag in ("sm", "wm") and N_BOOT * k >= _SHARE_MIN_CELLS
+
+    heavy = [j for j in todo if heavy_job(j)]
+    _share_out(lambda: lambda i: run(heavy[i]), len(heavy), True)
+    for j in todo:
         if j not in heavy:
             run(j)
     return out
@@ -623,9 +624,17 @@ class RealDataResult:
 
 
 def save_phenotype(path, ids, values) -> None:
+    """Write an `id,value` CSV.  A repeated id or a NaN or infinite value,
+    which load_phenotype would reject, is a DataError before the file is
+    opened."""
     values = np.asarray(values, dtype=np.float64)
     if len(ids) != values.size:
         raise DataError("phenotype ids and values disagree in length")
+    dup = _repeated(ids)
+    if dup is not None:
+        raise DataError(f"phenotype id {dup!r} names more than one value")
+    if not np.isfinite(values).all():
+        raise DataError("phenotype values must be finite (found NaN or inf)")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_csv(fh, ["id", "value"], zip(ids, values.tolist()))
 
@@ -742,7 +751,5 @@ def estimate_real(
             x = x[kept]
             y = y[kept]
             summaries, source, d = _dosage_summaries(gm, x, y)
-    est = _run_method(
-        method, selection, source, summaries, d, x, y, lambda _: np.random.default_rng(0)
-    )
+    est = _run_method(method, _select(summaries, selection), source, summaries, d, x, y)
     return RealDataResult(method, est.theta_hat, est.se, gm.n, est.n_iv)

@@ -1,6 +1,6 @@
 """The package namespace is the union of its modules' `__all__` lists, it
-holds no other module but the CLI, importing it stays light, and one
-function decides on a second CPU."""
+holds no other module but the CLI, importing it stays light, one function
+decides on a second CPU, and no import or private name is left unused."""
 
 import ast
 import subprocess
@@ -74,3 +74,62 @@ def test_only_share_out_decides_on_a_second_cpu():
     assert sorted(set(found)) == [
         "genotype._share_out: ThreadPoolExecutor", "genotype._share_out: _spare_cpu"
     ]
+
+
+def _package_trees():
+    package = Path(tsre.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _read_names(tree):
+    """The names code under tree reads: loaded names and attribute names."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def _private_definitions(tree):
+    """The _x names a module defines at top level: defs, classes, constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_import_is_used():
+    # a deletion that leaves its imports behind fails here; __init__ imports
+    # only to re-export
+    unused = []
+    for stem, tree in _package_trees().items():
+        if stem == "__init__":
+            continue
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unused += [f"{stem}: {name}" for name in names if name not in read]
+    assert unused == []
+
+
+def test_every_private_name_is_used():
+    # a private helper that only its own definition names is dead code
+    trees = _package_trees()
+    read = set().union(*map(_read_names, trees.values()))
+    orphans = [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert orphans == []

@@ -38,6 +38,22 @@ class TestGenotypeMatrix:
             GenotypeMatrix(dosages=np.zeros((2, 4), dtype=np.int8),
                            variant_ids=["v1", "v2", "v3", "v2"])
 
+    def test_one_individual_id_per_row(self):
+        # save_genotypes would write two rows and silently drop the third
+        with pytest.raises(DataError, match="^individual id count does not match dosage rows$"):
+            GenotypeMatrix(dosages=np.zeros((3, 2), dtype=np.int8), variant_ids=["v1", "v2"],
+                           individual_ids=["a", "b"])
+
+    def test_repeated_individual_id_rejected(self, tmp_path):
+        # save_genotypes would write the file below, which load_genotypes rejects
+        with pytest.raises(DataError, match="^individual id 'a' names more than one row$"):
+            GenotypeMatrix(dosages=np.zeros((3, 1), dtype=np.int8), variant_ids=["v1"],
+                           individual_ids=["a", "b", "a"])
+        path = tmp_path / "g.csv"
+        path.write_text("id,v1\na,0\nb,0\na,0\n")
+        with pytest.raises(DataError, match="line 4: duplicate id 'a'"):
+            load_genotypes(path)
+
 
 class TestSimulateGenotypes:
     def test_values_and_shape(self, rng):
@@ -722,6 +738,18 @@ class TestGrmIO:
         assert (n, m_eff) == (2, 7)
         vals = np.frombuffer(raw[20:], dtype="<f8")
         assert np.array_equal(vals, tri)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_save_refuses_a_non_finite_entry(self, tmp_path, bad):
+        tri = np.array([1.0, bad, 1.0])
+        path = tmp_path / "a.grm"
+        with pytest.raises(DataError, match="^1 GRM entries are NaN or infinite$"):
+            save_grm(Grm(n=2, lower_triangle=tri, m_effective=3), path)
+        assert not path.exists()
+        # the file it would have written, and load_grm's verdict on it
+        path.write_bytes(b"GRM1" + struct.pack("<QQ", 2, 3) + tri.astype("<f8").tobytes())
+        with pytest.raises(DataError, match="a.grm: 1 GRM entries are NaN or infinite"):
+            load_grm(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "a.grm"

@@ -36,7 +36,7 @@ from tsre.harness import (
     save_phenotype,
 )
 from tsre.simulate import ScenarioConfig, generate_phenotypes, sample_effects
-from tsre.estimators import N_BOOT, ivw
+from tsre.estimators import ivw
 from tsre.sumstats import SUMMARY_DTYPE, per_variant_regression, select_top_k
 
 from conftest import packed_to_dense
@@ -221,6 +221,32 @@ class TestRunScenario:
             ),
         }
 
+    def test_jobs_off_the_default_selections_are_pinned(self):
+        # the jobs the table2 pin does not reach: both medians on 'all' at a
+        # size the replicate shares out, wm on a p-value selection and tsre
+        # on a subset, whose row norms come from the selected columns
+        jobs = [("sm", "all"), ("wm", "all"), ("wm", "pval:0.05"), ("tsre", "top:20")]
+        results = run_scenario(_tiny_cfg(**_HEAVY_CFG), ReplicationSpec(reps=2, seed=2), jobs=jobs)
+        got = {(r.method, r.selection): (r.estimates.tolist(), r.ses.tolist()) for r in results}
+        assert got == {
+            ("sm", "all"): (
+                [0.360069097661056, 0.29286003713571096],
+                [0.03139306851655035, 0.03255977308981492],
+            ),
+            ("wm", "all"): (
+                [0.3270575097400072, 0.27499657623464685],
+                [0.03503512793151219, 0.034035851430414266],
+            ),
+            ("wm", "pval:0.05"): (
+                [0.32191262550197663, 0.2573940596906007],
+                [0.04925076932258974, 0.04673987278825653],
+            ),
+            ("tsre", "top:20"): (
+                [0.3340701568505952, 0.2408596453412853],
+                [0.012669452831171706, 0.01619271854889901],
+            ),
+        }
+
     def test_failed_replicates_are_counted(self):
         # egger on two instruments always fails (needs three)
         cfg = _tiny_cfg()
@@ -290,7 +316,7 @@ class TestRunScenario:
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="n >= K"):
-                harness._run_method("tsls", "all", source, None, None, x, y, None)
+                harness._run_method("tsls", None, source, None, None, x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -358,19 +384,37 @@ class TestSharedBootstraps:
     """The heavy median bootstraps of a replicate shared out between the
     calling thread and a helper."""
 
-    @pytest.mark.parametrize(
-        "tag,selection,cells",
-        [
-            ("sm", "all", N_BOOT * 300),
-            ("wm", "pval:0.5", N_BOOT * 300),
-            ("sm", "top:20", N_BOOT * 20),
-            ("wm", "top:500", N_BOOT * 300),
-            ("tsls", "all", 0),
-            ("ivw", "all", 0),
-        ],
-    )
-    def test_bootstrap_cells_read_the_spec(self, tag, selection, cells):
-        assert harness._job_bootstrap_cells(tag, selection, 300) == cells
+    def test_a_median_job_is_gated_on_the_variants_it_selected(self, monkeypatch, shares):
+        # pval:0.5 keeps 183 of the 300 variants, fewer than the 200 a shared
+        # bootstrap needs; top:500 keeps all 300 and warns once per replicate
+        _spare_cpu(monkeypatch)
+        cfg = _tiny_cfg(**_HEAVY_CFG)
+        out = harness._replicate_outcomes((cfg, [("sm", "pval:0.5"), ("wm", "pval:0.5")], 2, 0, 0))
+        assert None not in out
+        assert shares == []
+        with pytest.warns(UserWarning, match="requested top 500") as caught:
+            out = harness._replicate_outcomes((cfg, [("sm", "top:500"), ("wm", "top:500")], 2, 0, 0))
+        assert len(caught) == 1
+        assert None not in out
+        assert shares == [2]
+
+    def test_each_selection_is_made_once_per_replicate(self, monkeypatch):
+        real, made = harness._select, []
+
+        def counting(summaries, selection):
+            made.append(selection)
+            return real(summaries, selection)
+
+        monkeypatch.setattr(harness, "_select", counting)
+        _heavy_replicate()
+        assert made == ["all", "top:20"]
+
+    def test_an_empty_selection_fails_only_its_jobs(self, monkeypatch):
+        _spare_cpu(monkeypatch)
+        jobs = [*_HEAVY_JOBS[:2], ("wm", "pval:1e-300"), *_HEAVY_JOBS[2:], ("sm", "pval:1e-300")]
+        out = harness._replicate_outcomes((_tiny_cfg(**_HEAVY_CFG), jobs, 2, 0, 0))
+        assert out[2] is None and out[-1] is None
+        assert out[:2] + out[3:-1] == _heavy_replicate()
 
     def test_shared_outcomes_keep_their_bits(self, monkeypatch, shares, fast_switching):
         for rep in (0, 1):
@@ -409,9 +453,10 @@ class TestSharedBootstraps:
         _spare_cpu(monkeypatch)
         real, ran = harness._run_method, {}
 
-        def recording(tag, selection, *args):
-            ran[(tag, selection)] = threading.get_ident()
-            return real(tag, selection, *args)
+        def recording(tag, cols, *args):
+            # the jobs select all 300 variants or the top 20
+            ran[(tag, "all" if cols is None else f"top:{len(cols)}")] = threading.get_ident()
+            return real(tag, cols, *args)
 
         monkeypatch.setattr(harness, "_run_method", recording)
         _heavy_replicate()
@@ -606,6 +651,26 @@ class TestPhenotypeIO:
     def test_length_mismatch_on_save(self, tmp_path):
         with pytest.raises(DataError):
             save_phenotype(tmp_path / "p.csv", ["a"], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "ids, values, message, verdict",
+        [
+            (["a", "a"], [1.0, 2.0], "phenotype id 'a' names more than one value",
+             "line 3: duplicate id 'a'"),
+            (["a", "b"], [1.0, np.nan], "must be finite", "line 3: value 'nan' is not finite"),
+            (["a", "b"], [np.inf, 1.0], "must be finite", "line 2: value 'inf' is not finite"),
+        ],
+        ids=["repeated_id", "nan", "inf"],
+    )
+    def test_save_refuses_what_load_rejects(self, tmp_path, ids, values, message, verdict):
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match=message):
+            save_phenotype(path, ids, values)
+        assert not path.exists()
+        # the file it would have written, and load_phenotype's verdict on it
+        path.write_text("id,value\n" + "".join(f"{i},{v!r}\n" for i, v in zip(ids, values)))
+        with pytest.raises(DataError, match=verdict):
+            load_phenotype(path)
 
 
 @pytest.fixture

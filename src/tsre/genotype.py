@@ -45,6 +45,7 @@ So the sharing changes no bit.
 
 from __future__ import annotations
 
+import csv
 import math
 import multiprocessing
 import os
@@ -53,6 +54,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -68,7 +70,9 @@ _GRM_MAGIC = b"GRM1"
 _PANEL_ROWS = 256
 _DOSAGES = frozenset("012")
 # Cells per chunk of the dosage sampler and per column block of a dosage
-# read, each in one reused 2 MB float64 buffer.
+# read, each in one reused 2 MB float64 buffer; also the cells per batch
+# of rows save_genotypes writes, and about the bytes per batch of rows
+# load_genotypes parses.
 _CHUNK_CELLS = 1 << 18
 # The largest double Generator.random returns.
 _U_MAX = 1.0 - 2.0**-53
@@ -556,18 +560,120 @@ def _individual_ids(n: int) -> list[str]:
 
 
 def save_genotypes(gm: GenotypeMatrix, path) -> None:
-    """Write dosages as CSV: header `id,<variant ids>`, one row per individual."""
+    """Write dosages as CSV: header `id,<variant ids>`, one row per individual.
+
+    Dosages that are not integers, or lie outside 0-2, which load_genotypes
+    would reject, are a DataError before the file is opened.  When no id holds
+    a comma, a quote or a line break, so that write_csv would quote none, each
+    row is written as its id's bytes plus one interleaved `,d` buffer, which
+    gives write_csv's bytes; otherwise write_csv writes the rows.
+    """
+    dosages = gm.dosages
+    if not np.issubdtype(dosages.dtype, np.integer):
+        raise DataError(f"dosages must be integers (got {dosages.dtype})")
+    lo, hi = (dosages.min(), dosages.max()) if dosages.size else (0, 0)
+    if lo < 0 or hi > 2:
+        raise DataError(f"dosage must be 0, 1, or 2 (got {lo if lo < 0 else hi})")
     ids = _individual_ids(gm.n) if gm.individual_ids is None else gm.individual_ids
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(
-            fh,
-            ["id", *gm.variant_ids],
-            ([ident, *row] for ident, row in zip(ids, gm.dosages.tolist())),
-        )
+    text = "".join(chain(gm.variant_ids, ids))
+    if gm.m == 0 or any(c in text for c in ',"\r\n'):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(
+                fh, ["id", *gm.variant_ids], ([i, *row] for i, row in zip(ids, dosages.tolist()))
+            )
+        return
+    raw = [ident.encode() for ident in ids]
+    rows = max(1, _CHUNK_CELLS // gm.m)
+    cells = np.empty((min(rows, gm.n), 2 * gm.m + 1), dtype=np.uint8)  # ",d" per variant, "\n"
+    cells[:, :-1:2] = ord(",")
+    cells[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(["id", *gm.variant_ids]).encode() + b"\n")
+        for r0 in range(0, gm.n, rows):
+            part = cells[: min(rows, gm.n - r0)]
+            np.add(dosages[r0 : r0 + len(part)], ord("0"), out=part[:, 1::2], casting="unsafe")
+            fh.write(b"".join(chain.from_iterable(zip(raw[r0 : r0 + len(part)], part))))
+
+
+def _plain_text(raw: bytes) -> str | None:
+    """raw decoded as UTF-8 when it holds no '"', '\\r' or NUL, else None."""
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _load_plain(path) -> GenotypeMatrix | None:
+    """load_genotypes of a plain file, parsed at byte level; None otherwise.
+
+    A file is plain when its header is `id` and variant ids none of which
+    repeats, every row is an id followed by exactly m `,d` pairs with d in
+    0-2, no id repeats, the header and ids decode as UTF-8 and hold no '"',
+    '\\r' or NUL, no field is longer than csv.field_size_limit(), and no line
+    is blank (the last may lack its '\\n').  The rows are read in batches of
+    about _CHUNK_CELLS bytes; each batch's comma and digit bytes are checked
+    with NumPy and its digits, minus '0', appended to one bytearray that
+    becomes the int8 dosages.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        text = _plain_text(head[:-1]) if head.endswith(b"\n") else None
+        if text is None:
+            return None
+        header = text.split(",")
+        variant_ids = header[1:]
+        if header[0] != "id" or not variant_ids or max(map(len, header)) > limit:
+            return None
+        if _repeated(variant_ids) is not None:
+            return None
+        m = len(variant_ids)
+        width = 2 * m + 1  # ",d" per variant, then "\n"
+        seps = np.full(m + 1, ord(","), dtype=np.uint8)
+        seps[-1] = ord("\n")
+        ids: list[str] = []
+        digits = bytearray()
+        while lines := fh.readlines(_CHUNK_CELLS):
+            if not lines[-1].endswith(b"\n"):  # only the file's last line may lack it
+                lines[-1] += b"\n"
+            raw, block = [], bytearray()
+            for line in lines:
+                k = line.find(b",")
+                if k < 0 or len(line) - k != width:
+                    return None
+                raw.append(line[:k])
+                block += memoryview(line)[k:]
+            cells = np.frombuffer(block, dtype=np.uint8).reshape(len(lines), width)
+            dose = cells[:, 1::2] - np.uint8(ord("0"))  # a byte below '0' wraps past 2
+            if not (cells[:, ::2] == seps).all() or dose.max() > 2:
+                return None
+            text = _plain_text(b"\n".join(raw))
+            if text is None:
+                return None
+            batch = text.split("\n")
+            if max(map(len, batch)) > limit:
+                return None
+            ids += batch
+            digits += memoryview(dose)
+    if not ids or _repeated(ids) is not None:
+        return None
+    dosages = np.frombuffer(digits, dtype=np.int8).reshape(len(ids), m)
+    return GenotypeMatrix(dosages=dosages, variant_ids=variant_ids, individual_ids=ids)
 
 
 def load_genotypes(path) -> GenotypeMatrix:
-    """Read a dosage CSV: each variant named once, every cell 0, 1 or 2."""
+    """Read a dosage CSV: each variant named once, every cell 0, 1 or 2.
+
+    A plain file (see _load_plain) is parsed at byte level.  Every other file
+    is read from the start by the csv module, the only route for quoted ids,
+    CRLF line ends and blank lines, and the one whose errors name the file,
+    line and variant; it enforces the same rules.
+    """
+    plain = _load_plain(path)
+    if plain is not None:
+        return plain
     rows = read_csv(path)
     header = next(rows)
     if header[:1] != ["id"] or len(header) < 2:

@@ -704,6 +704,26 @@ class TestGenotypeIO:
         assert back.dosages.dtype == np.int8 and back.dosages.flags.c_contiguous
         assert back.dosages.tolist() == [[0, 1], [2, 1]]
 
+    @pytest.mark.parametrize(
+        "dosages, message, written, verdict",
+        [
+            (np.array([[0.0, 1.0]]), r"dosages must be integers \(got float64\)",
+             "id,v1,v2\ni000001,0.0,1.0\n", r"variant 'v1': dosage must be 0, 1, or 2 \(got '0.0'\)"),
+            (np.array([[1, 3]], dtype=np.int8), r"dosage must be 0, 1, or 2 \(got 3\)",
+             "id,v1,v2\ni000001,1,3\n", r"variant 'v2': dosage must be 0, 1, or 2 \(got '3'\)"),
+        ],
+        ids=["float", "three"],
+    )
+    def test_save_refuses_what_load_rejects(self, tmp_path, dosages, message, written, verdict):
+        path = tmp_path / "g.csv"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            save_genotypes(GenotypeMatrix(dosages=dosages, variant_ids=["v1", "v2"]), path)
+        assert not path.exists()
+        # the file it would have written, and load_genotypes' verdict on it
+        path.write_text(written)
+        with pytest.raises(DataError, match=f"g.csv: line 2, {verdict}$"):
+            load_genotypes(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("ident,v1\ni1,0\n")

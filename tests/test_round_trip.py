@@ -4,12 +4,15 @@ written in its documented `key = value` layout; every loader turns any other
 file into typed, finite data or a DataError (a scenario file into a valid
 config or a TsreError)."""
 
+import csv
+import re
 import struct
 import subprocess
 import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tsre
-from tsre.errors import DataError, TsreError
+from tsre import genotype
+from tsre.errors import DataError, TsreError, write_csv
 from tsre.genotype import GenotypeMatrix, Grm, load_genotypes, load_grm, save_genotypes, save_grm
 from tsre.harness import load_phenotype, save_phenotype
 from tsre.simulate import ScenarioConfig, load_scenario
@@ -282,6 +286,112 @@ def test_loader_returns_finite_typed_data_or_data_error(name, data, tmp_path):
     except DataError:
         return
     check(loaded)
+
+
+# ---------------------------------------------------------------------------
+# The two genotype routes: bytes for plain files, the csv module for the rest
+# ---------------------------------------------------------------------------
+
+
+def _csv_route(path):
+    """load_genotypes with the byte route turned off."""
+    with patch.object(genotype, "_load_plain", lambda path: None):
+        return load_genotypes(path)
+
+
+def _assert_same_genotypes(got, want):
+    assert got.dosages.dtype == want.dosages.dtype == np.int8
+    assert got.dosages.flags.c_contiguous and got.dosages.flags.writeable
+    assert np.array_equal(got.dosages, want.dosages)
+    assert got.variant_ids == want.variant_ids
+    assert got.individual_ids == want.individual_ids
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_byte_route_is_the_csv_route_or_declines(data, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=200), _csv_text("genotypes"))))
+    plain = genotype._load_plain(path)
+    try:
+        want = _csv_route(path)
+    except DataError:
+        assert plain is None
+        return
+    if plain is not None:
+        _assert_same_genotypes(plain, want)
+
+
+_LONG = "b" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        (b'id,v1\n"a,b",1\n"c""d",2\n', ["a,b", 'c"d']),
+        (b"id,v1\r\na,1\r\nb,2\r\n", ["a", "b"]),
+        (b"id,v1\n\na,1\n\nb,2\n\n", ["a", "b"]),
+        (b"\xef\xbb\xbfid,v1\na,1\n", "genotype header must be 'id' and at least one variant id"),
+        (b"id,v1\na,1\n\xff,2\n", "not UTF-8 text"),
+        (b"id,v1,v2\na,1,2\nb,1\n", "line 3: 2 fields, expected 3"),
+        (b"id,v1,v2\na,1,2\nb,1;2\n", "line 3: 2 fields, expected 3"),
+        (b"id,v1,v2\na,1,2\nb,1, 2\n", r"line 3, variant 'v2': dosage must be 0, 1, or 2 \(got ' 2'\)"),
+        (b"id,v1\na,1\na,2\n", "line 3: duplicate id 'a'"),
+        (b"id,v1,v1\na,1,2\n", "genotype header repeats variant id 'v1'"),
+        (b"id,v1\n", "no data rows"),
+        (b"", "empty file"),
+        (f"id,v1\na,1\n{_LONG},2\n".encode(), "line 3: field larger than field limit"),
+        (f"id,{_LONG}\na,1\n".encode(), "line 1: field larger than field limit"),
+    ],
+    ids=["quoted_ids", "crlf", "blank_lines", "bom", "non_utf8_id", "ragged_row", "semicolon_row",
+         "bad_cell", "repeated_id", "repeated_variant_id", "header_only", "empty", "long_id",
+         "long_variant_id"],
+)
+def test_files_that_are_not_plain_take_the_csv_route(tmp_path, text, outcome):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text)
+    assert genotype._load_plain(path) is None
+    if isinstance(outcome, list):
+        assert load_genotypes(path).individual_ids == outcome
+    else:
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {outcome}"):
+            load_genotypes(path)
+
+
+_AT_LIMIT = "c" * csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "text, ids",
+    [
+        ("id,v1,v2\na,0,1\né,2,1", ["a", "é"]),
+        (f"id,v1,v2\na,0,1\n{_AT_LIMIT},2,1\n", ["a", _AT_LIMIT]),
+    ],
+    ids=["no_final_newline", "id_at_field_limit"],
+)
+def test_plain_files_take_the_byte_route(tmp_path, text, ids):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode())
+    plain = genotype._load_plain(path)
+    assert plain is not None
+    _assert_same_genotypes(plain, _csv_route(path))
+    assert plain.individual_ids == ids
+    assert plain.dosages.tolist() == [[0, 1], [2, 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_genotypes())
+def test_save_genotypes_writes_the_bytes_of_write_csv(gm):
+    # plain ids take the byte writer, the rest write_csv; both give one file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        save_genotypes(gm, path)
+        with open(Path(tmp) / "want.csv", "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, ["id", *gm.variant_ids],
+                      ([i, *row] for i, row in zip(gm.individual_ids, gm.dosages.tolist())))
+        assert path.read_bytes() == (Path(tmp) / "want.csv").read_bytes()
 
 
 # Every text writer and reader of the package, in a fresh interpreter in

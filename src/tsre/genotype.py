@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
 import struct
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -327,6 +325,9 @@ def _spare_cpu() -> bool:
     on more than one CPU, and it is not a worker of a multiprocessing pool,
     such as run_scenario's at --threads >= 2, whose workers already take the
     CPUs it was given."""
+    # imported here, its one use: multiprocessing adds about 7 ms to `import tsre`
+    import multiprocessing
+
     if multiprocessing.parent_process() is not None:
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -364,6 +365,9 @@ def _share_out(start, count: int, may_share: bool) -> None:
             failed.append(True)
             raise
 
+    # imported here, as a helper starts: ThreadPoolExecutor adds about 7 ms to `import tsre`
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as helper:
         second = helper.submit(run)
         run()
@@ -393,6 +397,8 @@ def _polymorphic(gm: GenotypeMatrix, sd: np.ndarray):
     keep = sd > 0.0
     if not keep.any():
         raise DataError("all variants are monomorphic; nothing to standardize")
+    if keep.all():
+        return keep, list(gm.variant_ids), []
     kept_ids = [v for v, k in zip(gm.variant_ids, keep) if k]
     return keep, kept_ids, np.flatnonzero(~keep).tolist()
 
@@ -704,13 +710,16 @@ def save_grm(grm: Grm, path) -> None:
     then the packed lower triangle as little-endian f64.  A NaN or infinite
     entry, which load_grm would reject, is a DataError before the file is
     opened."""
-    nonfinite = np.count_nonzero(~np.isfinite(grm.lower_triangle))
-    if nonfinite:
+    tri = grm.lower_triangle
+    if not np.isfinite(tri).all():
+        nonfinite = np.count_nonzero(~np.isfinite(tri))
         raise DataError(f"{nonfinite} GRM entries are NaN or infinite")
+    # a float64 triangle, packed as compute_grm makes it, is written without a copy
+    tri = np.ascontiguousarray(tri, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_GRM_MAGIC)
         fh.write(struct.pack("<QQ", grm.n, grm.m_effective))
-        fh.write(grm.lower_triangle.astype("<f8", copy=False).tobytes())
+        fh.write(memoryview(tri))
 
 
 def load_grm(path) -> Grm:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import concurrent.futures
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -63,7 +64,7 @@ def shares(monkeypatch):
     """The item count of each genotype._share_out call, from genotype or from
     the harness, that actually started a helper thread."""
     seen, started = [], []
-    real_pool, real_share_out = genotype.ThreadPoolExecutor, genotype._share_out
+    real_pool, real_share_out = concurrent.futures.ThreadPoolExecutor, genotype._share_out
 
     def pool(*args, **kwargs):
         started.append(True)
@@ -77,7 +78,8 @@ def shares(monkeypatch):
             if started:
                 seen.append(count)
 
-    monkeypatch.setattr(genotype, "ThreadPoolExecutor", pool)
+    # _share_out imports it from concurrent.futures when a helper starts
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(genotype, "_share_out", spy)
     monkeypatch.setattr(harness, "_share_out", spy)
     return seen

@@ -1,6 +1,7 @@
 """The package namespace is the union of its modules' `__all__` lists, it
-holds no other module but the CLI, importing it stays light, one function
-decides on a second CPU, and no import or private name is left unused."""
+holds no other module but the CLI, importing it loads neither SciPy nor a
+pool module, one function decides on a second CPU, and no import or private
+name is left unused."""
 
 import ast
 import subprocess
@@ -32,18 +33,21 @@ def test_package_holds_only_the_reexported_modules_and_the_cli():
     assert found == sorted(want)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg adds about 50 ms to a fresh `import tsre`, and only the
-    # packed-GRM fit needs it, so engine._grm_sums imports it on first use
+def test_import_loads_no_scipy_or_pool_module():
+    # scipy.special alone adds about 0.2 s to a fresh `import tsre`, and the
+    # pool modules about 25 ms, so each is imported by the one function that
+    # uses it: sumstats._records, genotype._spare_cpu and _share_out,
+    # harness.run_scenario and engine._grm_sums
     src = Path(tsre.__file__).resolve().parent.parent
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import tsre; "
-        "print(tsre.__file__); print('scipy.linalg' in sys.modules)"
+        "print(tsre.__file__); print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    where, loaded = out.stdout.split()
+    where, loaded = out.stdout.splitlines()
     assert Path(where).resolve() == Path(tsre.__file__).resolve()
-    assert loaded == "False"
+    assert loaded == "[]"
 
 
 def _threading_calls(tree, owner=""):

@@ -1,12 +1,17 @@
 """Command line interface: round trips, output formats, and exit codes."""
 
+import json
 import math
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsre
 from tsre.cli import main
 from tsre.genotype import load_grm
 
@@ -433,3 +438,37 @@ class TestTheoryCommand:
             np.sqrt(float(table["var_theta"]))
         )
         assert 0 < float(table["heritability"]) < 1
+
+
+_LOADED_AFTER_EACH = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tsre.cli import main
+loaded = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"tsre {argv[0]} failed")
+    loaded.append([m for m in ("scipy", "scipy.special", "scipy.linalg") if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_estimate_loads_scipy(tmp_path, scenario_file):
+    # theory, simulate and grm make no summaries, so a fresh process that runs
+    # them never loads SciPy; estimate loads scipy.special at its first
+    # p-value, and not the scipy.linalg of the packed-GRM fit
+    data = tmp_path / "data"
+    commands = [
+        ["theory", "--config", str(scenario_file)],
+        ["simulate", "--config", str(scenario_file), "--out", str(data)],
+        ["grm", "--genotypes", str(data / "genotypes.csv"), "--out", str(tmp_path / "g.grm")],
+        ["estimate", "--method", "ivw", "--genotypes", str(data / "genotypes.csv"),
+         "--exposure", str(data / "exposure.csv"), "--outcome", str(data / "outcome.csv")],
+    ]
+    src = str(Path(tsre.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH, src, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == [[], [], [], ["scipy", "scipy.special"]]

@@ -747,17 +747,26 @@ class TestGrmIO:
         assert back.m_effective == grm.m_effective
         assert np.array_equal(back.lower_triangle, grm.lower_triangle)
 
-    def test_binary_layout(self, tmp_path):
-        tri = np.array([1.0, 0.25, 1.0])
+    @pytest.mark.parametrize(
+        "tri",
+        [
+            np.array([1.0, 0.25, 1.0]),
+            np.array([1.0, 0.1, 1.0], dtype=np.float32),
+            np.array([1.0, 9.0, 0.25, 9.0, 1.0])[::2],
+            np.array([1.0, 0.25, 1.0], dtype=">f8"),
+        ],
+        ids=["float64", "float32", "strided", "big-endian"],
+    )
+    def test_binary_layout(self, tmp_path, tri):
+        # float64 triangles are written from their own buffer, others converted
         grm = Grm(n=2, lower_triangle=tri, m_effective=7)
         path = tmp_path / "a.grm"
         save_grm(grm, path)
         raw = path.read_bytes()
-        assert raw[:4] == b"GRM1"
-        n, m_eff = struct.unpack("<QQ", raw[4:20])
-        assert (n, m_eff) == (2, 7)
-        vals = np.frombuffer(raw[20:], dtype="<f8")
-        assert np.array_equal(vals, tri)
+        assert raw == b"GRM1" + struct.pack("<QQ", 2, 7) + tri.astype("<f8").tobytes()
+        back = load_grm(path)
+        assert (back.n, back.m_effective) == (2, 7)
+        assert np.array_equal(back.lower_triangle, tri.astype(np.float64))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_save_refuses_a_non_finite_entry(self, tmp_path, bad):

@@ -1,5 +1,6 @@
 """Replication harness: seeding, aggregation, targets, and the file pipeline."""
 
+import concurrent.futures
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -152,7 +153,7 @@ class TestRunScenario:
             def map(self, fn, args, chunksize=1):
                 return map(fn, args)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg = _tiny_cfg()
         jobs = [("tsre", "all"), ("ivw", "top:20")]
         spec = ReplicationSpec(reps=1, seed=1)
@@ -445,7 +446,7 @@ class TestSharedBootstraps:
         def no_helper(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
-        monkeypatch.setattr(genotype, "ThreadPoolExecutor", no_helper)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
         assert _heavy_replicate() == shared
         assert None not in shared
 
@@ -499,7 +500,7 @@ class TestSharedBootstraps:
         def no_helper(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
-        monkeypatch.setattr(genotype, "ThreadPoolExecutor", no_helper)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
         cfg = builtin_rows("table2")[0][1]
         out = harness._replicate_outcomes((cfg, jobs, 0, 0, 0))
         assert None not in out

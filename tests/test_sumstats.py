@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtr
 
-from tsre.errors import DataError, EstimationError
+from tsre import sumstats
+from tsre.errors import DataError, EstimationError, centre_traits
 from tsre.sumstats import (
     SUMMARY_DTYPE,
     per_variant_regression,
@@ -52,6 +54,29 @@ class TestPerVariantRegression:
         assert summ.shape == (4,)
         assert summ[0].variant_id == "v0"
         assert summ[2].gamma_x == summ["gamma_x"][2]
+
+    def test_records_match_a_fromarrays_reference(self, rng):
+        # _records fills np.zeros in place of np.rec.fromarrays, whose
+        # np.empty initialises the object field one slot at a time; the
+        # reference is that construction, bit for bit, ids ending in NUL kept
+        std = random_standardized(rng, 30, 5)
+        z = std.values
+        xc, yc = centre_traits(30, rng.normal(size=30), rng.normal(size=30))
+        ids = ["v0", "rs1\x00", "", "\x00\x00", "v4"]
+        gram, u, v = np.einsum("ij,ij->j", z, z), z.T @ xc, z.T @ yc
+        u[1] = 0.0  # a zero slope
+        got = sumstats._records(ids, gram, u, v, xc, yc)
+        gx, se_x = sumstats._marginal(u, gram, xc, 30)
+        gy, se_y = sumstats._marginal(v, gram, yc, 30)
+        p_x = 2.0 * stdtr(28, -np.abs(gx) / se_x)
+        want = np.rec.fromarrays(
+            [np.array(ids, dtype=object), gx, se_x, gy, se_y, p_x], dtype=SUMMARY_DTYPE
+        )
+        assert isinstance(got, np.recarray)
+        assert got.dtype == want.dtype
+        assert got.variant_id.tolist() == ids
+        for name in SUMMARY_DTYPE.names[1:]:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_ids_follow_input_order(self, rng):
         std = random_standardized(rng, 20, 4)

@@ -127,9 +127,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_grm(args) -> int:
-    gm = load_genotypes(args.genotypes)
-    std = standardize(gm)
-    grm = compute_grm(std)
+    grm = compute_grm(standardize(load_genotypes(args.genotypes)))
     save_grm(grm, args.out)
     print(f"{args.out}: n={grm.n}, variants_used={grm.m_effective}")
     return 0

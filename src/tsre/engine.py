@@ -6,9 +6,10 @@ symmetrized cross product (X_i*Y_j + Y_i*X_j)/2 with slope delta; the causal
 effect estimate is the slope ratio delta/eta.  One fit (_fit) reads it off
 three relatedness pair sums and three trait pair sums, so no N-pair design
 is ever materialized.  The relatedness sums come from a packed GRM triangle
-(_grm_sums) or from the per-variant summaries of the standardized genotypes
-Z behind it, Z'x/n and Z'y/n, plus the row norms d_i = |z_i|^2/m
-(_summary_sums): O(nm) for any shape, and A = Z Z'/m is never formed.
+(_grm_sums) or, with no GRM, from one read of the int8 dosages behind it
+(sumstats._dosage_summaries): the summaries Z'x/n and Z'y/n of the
+standardized Z and the row norms d_i = |z_i|^2/m (_summary_sums), O(nm) for
+any shape.  Every replicate and `tsre estimate` fit takes that route.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import DataError, EstimationError, centre_traits
 from .estimators import Estimate
-from .genotype import Grm, StandardizedGenotypes, _row_norms
-from .sumstats import per_variant_regression
+from .genotype import GenotypeMatrix, Grm
+from .sumstats import _dosage_summaries
 
 __all__ = ["tsre_estimate", "moment_diagnostic"]
 
@@ -37,13 +38,13 @@ __all__ = ["tsre_estimate", "moment_diagnostic"]
 MIN_SIGNAL = 1e-6
 
 
-def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
+def tsre_estimate(a: Grm | GenotypeMatrix, x, y) -> Estimate:
     """Fit the slope-ratio estimator on a relationship matrix and phenotype pair.
 
-    a is a Grm, or the standardized genotypes whose GRM it would be; both
-    give the same fit up to rounding.  Genotypes are read only through their
-    per-variant summaries and row norms, which a replicate takes from its
-    int8 dosages (_summary_fit).  Both traits are mean-centered internally.  theta_hat is
+    a is a Grm, or the genotypes whose GRM it would be, read once in int8
+    column blocks for their summaries and row norms as a replicate and
+    `tsre estimate` read them: the fit is theirs bit for bit and the Grm fit
+    up to rounding.  Both traits are mean-centered internally.  theta_hat is
     the ratio of the pair covariances of A with the cross and exposure
     products.  se = sqrt(tau2 / n_pairs) with tau2 the plug-in asymptotic
     variance scale; n_iv is the number of variants behind A.
@@ -51,14 +52,14 @@ def tsre_estimate(a: Grm | StandardizedGenotypes, x, y) -> Estimate:
     if a.n < 3:
         raise DataError(f"need at least 3 individuals, got {a.n}")
     if not isinstance(a, Grm):
-        return _summary_fit(per_variant_regression(a, x, y), _row_norms(a.values), x, y)
+        summaries, _, d = _dosage_summaries(a, x, y)
+        return _summary_fit(summaries, d, x, y)
     xc, yc = centre_traits(a.n, x, y)
     return _fit(_grm_sums(a, xc, yc), a.m_effective, xc, yc)
 
 
 def _summary_fit(summaries, d, x, y) -> Estimate:
-    """tsre from the summaries of m selected variants (per_variant_regression
-    of x and y) and the row norms d over the same columns."""
+    """tsre from the summaries of m variants and the row norms d over them."""
     xc, yc = centre_traits(d.size, x, y)
     return _fit(_summary_sums(summaries, d, xc, yc), len(summaries), xc, yc)
 

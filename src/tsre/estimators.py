@@ -80,7 +80,8 @@ def tsls(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
     the usual homoskedastic form sigma^2 / (x' P x) with P the projection
     onto the instrument span.
     """
-    g = np.atleast_2d(np.asarray(g, dtype=np.float64))
+    g = np.asarray(g, dtype=np.float64)
+    g = g.reshape(-1, 1) if g.ndim < 2 else g  # a vector is one instrument
     n, k = g.shape
     _check_instruments(n, k)
     if n < 3:

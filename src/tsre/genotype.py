@@ -741,8 +741,8 @@ def load_grm(path) -> Grm:
                 f"{path}: triangle has {size} bytes, expected {8 * expected} for n={n}"
             )
         tri = np.fromfile(fh, dtype="<f8", count=expected)
-    nonfinite = np.count_nonzero(~np.isfinite(tri))
-    if nonfinite:
+    if not np.isfinite(tri).all():
+        nonfinite = np.count_nonzero(~np.isfinite(tri))
         raise DataError(f"{path}: {nonfinite} GRM entries are NaN or infinite")
     return Grm(
         n=int(n), lower_triangle=tri.astype(np.float64, copy=False), m_effective=int(m_eff)

@@ -5,11 +5,11 @@ centered outcome (slope through the origin, residual df = n - 2, matching a
 regression with intercept on uncentered data).  The summaries are one
 record array of SUMMARY_DTYPE, a row per variant whose fields read as
 attributes (s[k].gamma_x).  Selection operates purely on its fields.
-per_variant_regression reads a standardized matrix; replicates and `tsre
-estimate` make the same records from one read of the int8 dosages
-(_dosage_summaries, genotype module docstring).  SciPy's stdtr, behind
-each p-value, is imported by _records on its first call, so a command that
-makes no summaries never loads SciPy.
+per_variant_regression reads a standardized matrix; replicates, `tsre
+estimate` and tsre_estimate on genotypes make the same records from one
+read of the int8 dosages (_dosage_summaries, genotype module docstring).
+SciPy's stdtr, behind each p-value, is imported by _records on its first
+call, so a command that makes no summaries never loads SciPy.
 """
 
 from __future__ import annotations

@@ -30,18 +30,22 @@ def dense_to_packed(a: np.ndarray) -> np.ndarray:
     return np.array([a[i, j] for i in range(n) for j in range(i + 1)])
 
 
-def random_standardized(rng, n, m):
-    """A standardized genotype panel with no degenerate columns."""
-    raw = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+def random_genotypes(rng, n, m):
+    """An int8 dosage panel with no monomorphic columns."""
+    raw = rng.integers(0, 3, size=(n, m)).astype(np.int8)
     # move one entry of each constant column so standardize keeps all of them
     const = np.ptp(raw, axis=0) == 0
     raw[0, const] = (raw[0, const] + 1) % 3
-    gm = GenotypeMatrix(
+    return GenotypeMatrix(
         dosages=raw,
         variant_ids=[f"v{k}" for k in range(m)],
         individual_ids=[f"i{r}" for r in range(n)],
     )
-    return standardize(gm)
+
+
+def random_standardized(rng, n, m):
+    """A standardized genotype panel with no degenerate columns."""
+    return standardize(random_genotypes(rng, n, m))
 
 
 def write_scenario(cfg, path):

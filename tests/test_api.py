@@ -1,7 +1,7 @@
 """The package namespace is the union of its modules' `__all__` lists, it
 holds no other module but the CLI, importing it loads neither SciPy nor a
-pool module, one function decides on a second CPU, and no import or private
-name is left unused."""
+pool module, one function decides on a second CPU, only the GRM builds
+standardize a whole matrix, and no import or private name is left unused."""
 
 import ast
 import subprocess
@@ -50,40 +50,53 @@ def test_import_loads_no_scipy_or_pool_module():
     assert loaded == "[]"
 
 
-def _threading_calls(tree, owner=""):
-    """(function, callee) for each call of _spare_cpu or ThreadPoolExecutor
-    under tree; function is the dotted name of the outermost enclosing def,
-    or "" at module level."""
+def _package_trees():
+    package = Path(tsre.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _calls(tree, callees, owner=""):
+    """(function, callee) for each call of a name in callees under tree;
+    function is the name of the outermost enclosing def, or "" at module
+    level."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _threading_calls(node, owner or node.name)
+            yield from _calls(node, callees, owner or node.name)
             continue
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("_spare_cpu", "ThreadPoolExecutor"):
+            if name in callees:
                 yield owner, name
-        yield from _threading_calls(node, owner)
+        yield from _calls(node, callees, owner)
+
+
+def _package_calls(*callees):
+    return sorted({
+        f"{stem}.{owner}: {name}"
+        for stem, tree in _package_trees().items()
+        for owner, name in _calls(tree, callees)
+    })
 
 
 def test_only_share_out_decides_on_a_second_cpu():
     # _share_out is the one place that asks for a spare CPU and starts a
     # helper thread, so the policy can change in one function
-    package = Path(tsre.__file__).resolve().parent
-    found = [
-        f"{path.stem}.{owner}: {name}"
-        for path in sorted(package.glob("*.py"))
-        for owner, name in _threading_calls(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    assert sorted(set(found)) == [
+    assert _package_calls("_spare_cpu", "ThreadPoolExecutor") == [
         "genotype._share_out: ThreadPoolExecutor", "genotype._share_out: _spare_cpu"
     ]
 
 
-def _package_trees():
-    package = Path(tsre.__file__).resolve().parent
-    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(package.glob("*.py"))}
+def test_only_the_grm_builds_standardize_the_whole_matrix():
+    # every fit, tsre_estimate on genotypes included, reads the int8
+    # dosages in column blocks; the float64 n x m matrix is built only for a
+    # GRM, by `tsre grm` and by --grm-cutoff without --grm
+    assert _package_calls("standardize") == [
+        "cli._cmd_grm: standardize", "harness.estimate_real: standardize"
+    ]
+    dense = {"StandardizedGenotypes", "per_variant_regression", "_row_norms"}
+    assert dense & _read_names(_package_trees()["engine"]) == set()
 
 
 def _read_names(tree):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from tsre import engine, genotype
 from tsre.engine import moment_diagnostic, tsre_estimate
 from tsre.errors import DataError, EstimationError
-from tsre.genotype import Grm, _row_norms, compute_grm, simulate_genotypes, standardize
-from tsre.sumstats import _dosage_summaries, per_variant_regression
+from tsre.genotype import Grm, compute_grm, simulate_genotypes, standardize
+from tsre.sumstats import _dosage_summaries
 
-from conftest import dense_to_packed, packed_to_dense, random_standardized
+from conftest import dense_to_packed, packed_to_dense, random_genotypes, random_standardized
 
 
 def _grm_from_dense(a, m_effective=3):
@@ -110,8 +110,8 @@ class TestPairMoments:
     def test_length_mismatch(self, rng):
         a, x, y = _random_problem(0, n=5)
         grm = _grm_from_dense(a)
-        std = random_standardized(rng, 5, 4)
-        for source in (grm, std):
+        gm = random_genotypes(rng, 5, 4)
+        for source in (grm, gm):
             with pytest.raises(DataError, match="length mismatch"):
                 tsre_estimate(source, x[:-1], y)
         with pytest.raises(DataError, match="length mismatch"):
@@ -132,14 +132,14 @@ class TestPairMoments:
             moment_diagnostic(_grm_from_dense(a), np.array([1.0]), np.array([1.0]), 0.3)
         # the fit needs a third: genotypes give their sums through
         # per-variant regressions
-        std = random_standardized(rng, 2, 5)
+        gm = random_genotypes(rng, 2, 5)
         with pytest.raises(DataError, match="at least 3 individuals"):
-            tsre_estimate(std, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+            tsre_estimate(gm, np.array([1.0, 2.0]), np.array([0.5, 0.0]))
 
 
 # (n, seed, m): m None draws a dense symmetric normal matrix; otherwise the
 # GRM of m simulated variants, whose pair sums are also taken from the
-# summaries and row norms of the standardized genotypes, for any m.  With
+# summaries and row norms of the int8 dosages, for any m.  With
 # m >> n that GRM is diagonal-dominant (off-diagonal entries ~ 1/sqrt(m)
 # against a unit diagonal), as in the many-null-variant regime, so the pair
 # sums are small differences of whole-triangle and diagonal terms.  The GRMs
@@ -163,19 +163,18 @@ CASES = [
 
 def _random_instance(n, seed, m):
     rng = np.random.default_rng(seed)
-    gm = std = None
+    gm = None
     if m is None:
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2
         grm = _grm_from_dense(a, m_effective=1)
     else:
         gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
-        std = standardize(gm)
-        grm = compute_grm(std)
+        grm = compute_grm(standardize(gm))
         a = packed_to_dense(grm.lower_triangle, n)
     x = rng.normal(size=n)
     y = rng.normal(size=n)
-    return a, grm, x, y, gm, std
+    return a, grm, x, y, gm
 
 
 def _pair_sums_oracle(a, x, y):
@@ -203,15 +202,14 @@ def _diag_sums_oracle(a, x, y, theta, a_bar, e_bar):
 
 @pytest.mark.parametrize("n,seed,m", CASES)
 def test_pair_sums_matches_double_loop(n, seed, m, monkeypatch):
-    a, grm, x, y, gm, std = _random_instance(n, seed, m)
+    a, grm, x, y, gm = _random_instance(n, seed, m)
     want = _pair_sums_oracle(a, x, y)
     sums = [engine._grm_sums(grm, x, y)]
     if gm is not None:
-        # the summaries route of the genotypes: Z whole, and the int8
-        # dosages read in about three column blocks, as a replicate reads them
+        # the summaries route of the genotypes: the int8 dosages read in
+        # about three column blocks, as a replicate reads them
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", n * -(-m // 3))
         summaries, _, d = _dosage_summaries(gm, x, y)
-        sums.append(engine._summary_sums(per_variant_regression(std, x, y), _row_norms(std.values), x, y))
         sums.append(engine._summary_sums(summaries, d, x, y))
     for got in sums:
         assert all(type(v) is float for v in got)
@@ -327,9 +325,10 @@ class TestTsreEstimate:
 
     @pytest.mark.parametrize("n,m", [(30, 8), (20, 60)])
     def test_genotypes_give_the_grm_fit(self, n, m, monkeypatch):
-        # both shapes, m <= n and m > n, standardized whole and read from
-        # int8 dosages in several blocks, fit from the per-variant summaries
-        # and the row norms without a GRM
+        # both shapes, m <= n and m > n: the int8 dosages read in several
+        # blocks and fit from their per-variant summaries and row norms, as
+        # a replicate fits them, against the dense GRM of the standardized
+        # matrix
         monkeypatch.setattr(genotype, "_CHUNK_CELLS", 5 * n)
         rng = np.random.default_rng(n + m)
         gm = simulate_genotypes(n, m, 0.2, 0.3, rng)
@@ -338,17 +337,15 @@ class TestTsreEstimate:
         x = std.values @ rng.normal(0, 0.5, size=std.m) + rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
         via_grm = tsre_estimate(grm, x, y)
+        direct = tsre_estimate(gm, x, y)
         summaries, _, d = _dosage_summaries(gm, x, y)
-        for direct in (tsre_estimate(std, x, y), engine._summary_fit(summaries, d, x, y)):
-            np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
-            np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
-            assert direct.n_iv == via_grm.n_iv == std.m
-        no_signal = "no signal: the exposure does not vary"
-        for source in (std, grm):
-            with pytest.raises(EstimationError, match=no_signal):
+        assert direct == engine._summary_fit(summaries, d, x, y)
+        np.testing.assert_allclose(direct.theta_hat, via_grm.theta_hat, rtol=1e-12)
+        np.testing.assert_allclose(direct.se, via_grm.se, rtol=1e-12)
+        assert direct.n_iv == via_grm.n_iv == std.m
+        for source in (gm, grm):
+            with pytest.raises(EstimationError, match="no signal: the exposure does not vary"):
                 tsre_estimate(source, np.full(n, 2.0), y)
-        with pytest.raises(EstimationError, match=no_signal):
-            _dosage_summaries(gm, np.full(n, 2.0), y)
 
     def test_permutation_invariance(self):
         a, x, y = _random_problem(19, n=12)
@@ -417,10 +414,10 @@ class TestMomentDiagnostic:
     def test_genotypes_rejected_before_any_work(self, rng):
         # tsre_estimate takes genotypes; the diagnostic needs the GRM
         # entries and says how to build them
-        std = random_standardized(rng, 50, 20)
+        gm = random_genotypes(rng, 50, 20)
         x = rng.normal(size=50)
         with pytest.raises(TypeError, match="Grm.*compute_grm"):
-            moment_diagnostic(std, x, 0.3 * x + rng.normal(size=50), 0.3)
+            moment_diagnostic(gm, x, 0.3 * x + rng.normal(size=50), 0.3)
 
 
 # hypothesis strategies: modest sizes, well-conditioned values

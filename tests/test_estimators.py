@@ -62,6 +62,15 @@ class TestTsls:
         xc, yc, gc = x - x.mean(), y - y.mean(), g[:, 0]
         assert abs(est.theta_hat - (gc @ yc) / (gc @ xc)) < 1e-12
 
+    def test_vector_is_one_instrument(self, rng):
+        g = random_standardized(rng, 200, 1).values[:, 0]
+        x = 0.4 * g + rng.normal(size=200)
+        y = 0.3 * x + rng.normal(size=200)
+        assert g.shape == (200,)
+        est = tsls(g, x, y)
+        assert est == tsls(g[:, None], x, y)
+        assert est.n_iv == 1
+
     def test_intercept_invariance(self, rng):
         std = random_standardized(rng, 30, 2)
         g = std.values
@@ -88,6 +97,12 @@ class TestTsls:
             xb[5] = bad
             with pytest.raises(DataError, match="finite"):
                 tsls(g, xb, y)
+
+    def test_zero_first_stage_rejected(self):
+        # the centred exposure is orthogonal to the one instrument
+        g = np.array([[1.0], [-1.0], [0.0], [0.0]])
+        with pytest.raises(EstimationError, match="first-stage fit is identically zero"):
+            tsls(g, np.array([1.0, 1.0, 0.0, 2.0]), np.arange(4.0))
 
     def test_more_instruments_than_individuals(self):
         g = np.ones((3, 5))
@@ -287,6 +302,10 @@ class TestMedianEstimators:
     def test_all_zero_exposure_rejected(self):
         with pytest.raises(EstimationError):
             simple_median(_summ([0.0, 0.0], [0.1, 0.2]))
+
+    def test_weighted_median_rejects_a_zero_outcome_se(self):
+        with pytest.raises(EstimationError, match="an outcome standard error is zero"):
+            weighted_median(_summ_w([0.5, 0.4], [0.2, 0.1], [0.1, 0.0]))
 
     def test_weighted_median_reduces_to_simple_under_equal_weights(self, rng):
         k = 9

@@ -38,6 +38,14 @@ class TestGenotypeMatrix:
             GenotypeMatrix(dosages=np.zeros((2, 4), dtype=np.int8),
                            variant_ids=["v1", "v2", "v3", "v2"])
 
+    def test_dosages_must_be_a_matrix(self):
+        with pytest.raises(DataError, match="^dosage matrix must be 2-dimensional$"):
+            GenotypeMatrix(dosages=np.zeros(4, dtype=np.int8), variant_ids=["v1"])
+
+    def test_one_variant_id_per_column(self):
+        with pytest.raises(DataError, match="^variant id count does not match dosage columns$"):
+            GenotypeMatrix(dosages=np.zeros((2, 3), dtype=np.int8), variant_ids=["v1", "v2"])
+
     def test_one_individual_id_per_row(self):
         # save_genotypes would write two rows and silently drop the third
         with pytest.raises(DataError, match="^individual id count does not match dosage rows$"):
@@ -784,6 +792,16 @@ class TestGrmIO:
         path = tmp_path / "a.grm"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataError, match="magic"):
+            load_grm(path)
+
+    def test_triangle_length_must_match_n(self):
+        with pytest.raises(DataError, match=r"packed triangle has length \(4,\), expected \(3,\)"):
+            Grm(n=2, lower_triangle=np.ones(4), m_effective=3)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "a.grm"
+        path.write_bytes(b"GRM1" + struct.pack("<Q", 2))
+        with pytest.raises(DataError, match="a.grm: truncated GRM header"):
             load_grm(path)
 
     @pytest.mark.parametrize("m_effective", [0, -5])

@@ -14,6 +14,7 @@ from tsre.cli import main
 from tsre.engine import tsre_estimate
 from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import (
+    GenotypeMatrix,
     compute_grm,
     load_genotypes,
     save_genotypes,
@@ -167,6 +168,10 @@ class TestRunScenario:
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.ses, b.ses)
 
+    def test_empty_job_list_rejected(self):
+        with pytest.raises(ConfigError, match="^at least one method is required$"):
+            run_scenario(_tiny_cfg(), ReplicationSpec(reps=1, seed=1), jobs=[])
+
     def test_method_subset_does_not_change_numbers(self):
         cfg = _tiny_cfg()
         spec = ReplicationSpec(reps=4, seed=7)
@@ -273,7 +278,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(harness, "compute_grm", no_grm)
         monkeypatch.setattr(engine, "_grm_sums", no_grm)
-        monkeypatch.setattr(engine, "per_variant_regression", no_grm)
+        monkeypatch.setattr(engine, "_dosage_summaries", no_grm)
         selections = ("all", "top:5", "pval:0.05")
         jobs = [("tsre", selection) for selection in selections]
         wide = _tiny_cfg(n=30, m_a=40)
@@ -697,7 +702,12 @@ class TestEstimateReal:
     def test_tsre_matches_direct_computation(self, real_data):
         gpath, xpath, ypath, gm, pheno = real_data
         res = estimate_real(gpath, xpath, ypath, method="tsre")
-        std = standardize(load_genotypes(gpath))
+        # on the genotypes the library fit is the file fit, bit for bit; the
+        # dense GRM of the standardized matrix gives it to rounding
+        loaded = load_genotypes(gpath)
+        fit = tsre_estimate(loaded, pheno.x, pheno.y)
+        assert (res.theta_hat, res.se) == (fit.theta_hat, fit.se)
+        std = standardize(loaded)
         fit = tsre_estimate(compute_grm(std), pheno.x, pheno.y)
         assert res.theta_hat == pytest.approx(fit.theta_hat, rel=1e-12)
         assert res.se == pytest.approx(fit.se, rel=1e-12)
@@ -718,12 +728,14 @@ class TestEstimateReal:
         save_genotypes(gm, mono)
         std = standardize(gm)
         assert std.dropped_variants == [0, 17] and std.m == 24
-        want = tsre_estimate(std, pheno.x, pheno.y)
-        for selection, m_used in (("all", 24), ("top:24", 24)):
-            res = estimate_real(mono, xpath, ypath, method="tsre", selection=selection)
-            assert res.m_used == m_used
-            assert res.theta_hat == pytest.approx(want.theta_hat, rel=1e-12)
-            assert res.se == pytest.approx(want.se, rel=1e-12)
+        want = tsre_estimate(gm, pheno.x, pheno.y)
+        res = estimate_real(mono, xpath, ypath, method="tsre")
+        assert (res.m_used, res.theta_hat, res.se) == (24, want.theta_hat, want.se)
+        # top:24 takes the same columns in p-value order
+        res = estimate_real(mono, xpath, ypath, method="tsre", selection="top:24")
+        assert res.m_used == 24
+        assert res.theta_hat == pytest.approx(want.theta_hat, rel=1e-12)
+        assert res.se == pytest.approx(want.se, rel=1e-12)
         summaries = per_variant_regression(std, pheno.x, pheno.y)
         want = ivw(summaries[select_top_k(summaries, 20)])
         res = estimate_real(mono, xpath, ypath, method="ivw")
@@ -837,6 +849,27 @@ class TestEstimateReal:
         want = estimate_real(dup_path, sub, ypath, method="tsre")
         assert (res.n, res.m_used, res.theta_hat, res.se) == (
             want.n, want.m_used, want.theta_hat, want.se)
+
+    def test_fewer_than_three_shared_individuals_rejected(self, real_data, tmp_path):
+        gpath, xpath, ypath, gm, pheno = real_data
+        sub = tmp_path / "exposure_sub.csv"
+        save_phenotype(sub, gm.individual_ids[:2], pheno.x[:2])
+        with pytest.raises(DataError, match="^only 2 individuals have genotypes and both phenotypes$"):
+            estimate_real(gpath, sub, ypath)
+
+    def test_fewer_than_three_left_by_the_filter_rejected(self, tmp_path):
+        # two copies of one genotype row and a third row: every column
+        # standardizes to (1, 1, -2)/sqrt(2) up to sign, so A_01 = 1/2 and
+        # A_02 = A_12 = -1, and the cutoff drops only the third individual
+        a, b = [0, 1, 2, 0], [2, 0, 1, 1]
+        ids = ["i1", "i2", "i3"]
+        gpath, xpath, ypath = tmp_path / "g.csv", tmp_path / "x.csv", tmp_path / "y.csv"
+        save_genotypes(GenotypeMatrix(np.array([a, a, b], dtype=np.int8),
+                                      ["v1", "v2", "v3", "v4"], ids), gpath)
+        save_phenotype(xpath, ids, np.array([1.0, 2.0, 4.0]))
+        save_phenotype(ypath, ids, np.array([0.5, 1.0, 3.0]))
+        with pytest.raises(EstimationError, match="^only 2 individuals remain after filtering$"):
+            estimate_real(gpath, xpath, ypath, grm_cutoff=0.75)
 
     def test_validation_errors(self, real_data):
         gpath, xpath, ypath, *_ = real_data

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from tsre.errors import ConfigError, DataError
+from tsre.errors import ConfigError, DataError, EstimationError
 from tsre.genotype import simulate_genotypes, standardize
 from tsre.simulate import (
     ScenarioConfig,
@@ -245,6 +245,11 @@ class TestMoments:
         # null and outcome-only variants explain none of the exposure
         cfg = ScenarioConfig(m_a=10, m_d=5, sigma_gd=0.1, sigma2_ex=1.0)
         assert heritability(cfg) == 0.0
+
+    def test_heritability_needs_exposure_variance(self):
+        cfg = ScenarioConfig(m_a=10, sigma2_ex=0.0)
+        with pytest.raises(EstimationError, match="total exposure variance is zero"):
+            heritability(cfg)
 
     def test_empirical_exposure_variance(self):
         cfg = _cfg(n=40000, m_a=0, m_b=50, m_c=0, m_d=0, sigma_gb=0.1, sigma2_ex=1.0)

@@ -93,6 +93,11 @@ class TestBiasFormulas:
         with pytest.raises(EstimationError):
             bias_egger(p)
 
+    def test_egger_needs_variants(self):
+        p = _params(m_b=0, m_c=0, e_bcac=0.0)
+        with pytest.raises(EstimationError, match="^no variants$"):
+            bias_egger(p)
+
     def test_bias_invariant_to_common_moment_rescaling(self):
         p = _params()
         kappa = 3.7

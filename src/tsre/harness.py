@@ -207,12 +207,13 @@ def _run_method(tag, cols, source, summaries, d, x, y, rng=None) -> Estimate:
 
 
 # Least bootstrap size, in cells, of a median job that _replicate_outcomes
-# shares out.  Measured on a 2-vCPU Xeon (BENCH_23.json, share_crossover):
-# on table2 rows (m=200, seven methods) sharing two median jobs lost below
-# 200000 cells and drew even at 200000; on an s3 row (m=1000) it won from
-# 50000 cells up.  Sharing table2's jobs (top:20, 20000 cells) cut the
-# comparators workload from 170 to 148 replicates/s.
-_SHARE_MIN_CELLS = 200_000
+# shares out.  Measured on a 2-vCPU Xeon (BENCH_31.json, share_crossover):
+# on rows shaped like table2's (n=1000, seven methods) sharing two median
+# jobs lost up to 200000 cells (29 wins in 100 pairs at 200000) and drew even
+# from 300000; on an s3 row (m=1000) it won from 50000 cells up.  Sharing
+# table2's jobs (top:20, 20000 cells) cut the comparators workload from 170
+# to 148 replicates/s (BENCH_23.json).
+_SHARE_MIN_CELLS = 300_000
 
 
 def _replicate_outcomes(args):

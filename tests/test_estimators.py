@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsre import estimators
 from tsre.errors import DataError, EstimationError, TsreError
 from tsre.estimators import (
     N_BOOT,
+    _row_medians,
     _weighted_median,
     egger,
     ivw,
@@ -285,6 +287,87 @@ class TestWeightedMedianCore:
             _wm([1.0], [0.0])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+# Row blocks of ratios: ties, signed zeros, +-inf and NaN among finite values.
+# np.nan is the only NaN, so that every NaN a row holds has the same bits.
+_SPECIAL_RATIOS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 9)),
+        elements=st.one_of(st.sampled_from(_SPECIAL_RATIOS), st.floats(allow_nan=False)),
+    )
+)
+@example(r=np.array([[-0.0]]))
+@example(r=np.array([[-0.0, -0.0]]))
+@example(r=np.array([[-1.0, -0.0, 1.0], [-0.0, -0.0, -0.0]]))
+@example(r=np.array([[1.0, 2.0, np.nan], [np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]]))
+# the NaN of 0/0 has its sign bit set, and np.median returns it as it is
+@example(r=np.array([[1.0, 2.0, -np.nan], [1.0, 2.0, 3.0]]))
+@example(r=np.array([[np.inf, -np.inf], [np.inf, np.inf], [3.0, 3.0]]))
+def test_row_medians_are_np_median_bit_for_bit(r):
+    with np.errstate(all="ignore"):  # inf - inf and overflowing sums
+        want = np.median(r, axis=1)
+        got = _row_medians(r.copy())
+    assert _bits(got) == _bits(want)
+
+
+def _wm_parent(ratios, weights):
+    # the weighted median's earlier formula, through one sorted copy of the
+    # ratios, kept verbatim as the oracle of its bits
+    order = np.argsort(ratios, axis=1)
+    r = np.take_along_axis(ratios, order, axis=1)
+    w = weights[order]
+    total = w.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
+        raise EstimationError("degenerate weights: total weighted-median weight is zero")
+    p = (np.cumsum(w, axis=1) - 0.5 * w) / total
+    rows = np.arange(r.shape[0])
+    left = np.maximum((p <= 0.5).sum(axis=1) - 1, 0)
+    right = np.minimum(left + 1, r.shape[1] - 1)
+    pl, pr = p[rows, left], p[rows, right]
+    rl, rr = r[rows, left], r[rows, right]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (rr - rl) / (pr - pl) * (0.5 - pl) + rl
+    out = np.where(0.5 < p[:, 0], r[:, 0], out)
+    return np.where(0.5 >= p[:, -1], r[:, -1], out)
+
+
+@st.composite
+def _wm_blocks(draw):
+    """(ratios, weights): 1 to 70 rows of K = 1 to 1000 ratios, a share of
+    them drawn from _SPECIAL_RATIOS, and weights with or without ties."""
+    rows, k = draw(st.integers(1, 70)), draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = rng.random((rows, k)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ratios = np.where(special, rng.choice(_SPECIAL_RATIOS, (rows, k)), rng.normal(size=(rows, k)))
+    if draw(st.booleans()):
+        weights = rng.choice([0.5, 1.0, 2.0], k)
+    else:
+        weights = rng.uniform(1e-3, 10.0, k)
+    return ratios, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_wm_blocks())
+# 0.5 is a knot of p: the interpolation adds +0.0 to a -0.0 ratio
+@example(case=(np.array([[-1.0, -0.0, 1.0]]), np.array([1.0, 2.0, 1.0])))
+@example(case=(np.array([[-0.0, -0.0], [-0.0, -np.nan], [np.inf, -np.inf]]), np.ones(2)))
+@example(case=(np.array([[-0.0]]), np.array([3.0])))
+def test_weighted_median_keeps_the_bits_of_one_sorted_copy(case):
+    ratios, weights = case
+    with np.errstate(all="ignore"):  # inf - inf in the interpolation
+        want = _wm_parent(ratios, weights)
+        got = _weighted_median(ratios.copy(), weights)
+    assert _bits(got) == _bits(want)
+
+
 class TestMedianEstimators:
     def test_simple_median_point_estimate(self):
         gx = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
@@ -365,8 +448,10 @@ class TestBlockedBootstrap:
         [
             (1, None, 1),
             (20, None, 1),
-            (1000, None, 4),  # 3 blocks of 262 rows and one of 214
+            (1000, None, 16),  # 15 blocks of 65 rows and one of 25
             (20, 16, N_BOOT),  # K > _BOOT_BLOCK_CELLS: one-row blocks
+            (1000, 1000, N_BOOT),  # one-row blocks at K=1000
+            (1000, N_BOOT * 1000, 1),  # the whole draw as one block
         ],
     )
     @pytest.mark.parametrize("method", ["simple_median", "weighted_median"])
@@ -385,10 +470,12 @@ class TestBlockedBootstrap:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_weighted_median_holds_one_draw_of_bx_and_a_few_blocks(self):
-        # bx holds N_BOOT * K doubles (7.6 MiB at K=1000); by's buffer and
-        # each temporary of _weighted_median on a block hold at most
-        # _BOOT_BLOCK_CELLS doubles or indices (2 MiB), and fewer than eight of
-        # them live at once.  One whole draw held 53 MiB.
+        # bx holds N_BOOT * K doubles (7.6 MiB at K=1000).  by's buffer and
+        # the three temporaries of _weighted_median on a block (argsort's
+        # indices, the sorted weights that become p, and their cumulative
+        # sum) hold at most _BOOT_BLOCK_CELLS doubles or indices (512 KiB)
+        # each, and fewer than 16 vectors of K or N_BOOT doubles hold the
+        # rest.  One whole draw held 53 MiB.
         k = 1000
         s = _random_summaries(k, 3)
         tracemalloc.start()
@@ -397,7 +484,7 @@ class TestBlockedBootstrap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (N_BOOT * k + 8 * estimators._BOOT_BLOCK_CELLS)
+        assert peak < 8 * (N_BOOT * k + 4 * estimators._BOOT_BLOCK_CELLS + 16 * k)
 
 
 # Bounds of the drawn summaries: effects in [-1e6, 1e6] and standard errors in

@@ -391,7 +391,7 @@ class TestSharedBootstraps:
     calling thread and a helper."""
 
     def test_a_median_job_is_gated_on_the_variants_it_selected(self, monkeypatch, shares):
-        # pval:0.5 keeps 183 of the 300 variants, fewer than the 200 a shared
+        # pval:0.5 keeps 183 of the 300 variants, fewer than the 300 a shared
         # bootstrap needs; top:500 keeps all 300 and warns once per replicate
         _spare_cpu(monkeypatch)
         cfg = _tiny_cfg(**_HEAVY_CFG)
